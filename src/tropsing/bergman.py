@@ -7,7 +7,6 @@ weight classes of complete flags of flats of that matroid.  Everything here
 is exact; matroid ranks come from Gaussian elimination over the columns of B.
 """
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -18,18 +17,12 @@ from .errors import (
     DependentPivotsError,
     MalformedFlagError,
     TooLargeError,
+    TropsingError,
     ZeroTorusCoordinateError,
 )
 from .lattice import Circuit, collinear, convex_hull, orient
 
 DEFAULT_LIMIT = 12
-
-
-def enumeration_limit(limit=None) -> int:
-    if limit is not None:
-        return int(limit)
-    env = os.environ.get("TROPSING_LIMIT")
-    return int(env) if env else DEFAULT_LIMIT
 
 
 @dataclass(frozen=True)
@@ -95,11 +88,6 @@ class GaleDual:
         order = self.column_order()
         return tuple(tuple(row[i] for i in order) for row in self.matrix)
 
-    def row_for_nonpivot(self, i) -> int:
-        """Index of the Gale row whose unit entry sits at configuration index i."""
-        rest = [j for j in range(self.size) if j not in self.pivots]
-        return rest.index(i)
-
 
 def gale_dual(A: CoefficientMatrix, pivots=None) -> GaleDual:
     """Gale dual of A by Gaussian elimination on a pivot triple.
@@ -126,11 +114,13 @@ def gale_dual(A: CoefficientMatrix, pivots=None) -> GaleDual:
     order = list(pivots) + rest
     permuted = [[A.rows[r][i] for i in order] for r in range(3)]
     reduced, piv_cols = linalg.rref(permuted)
-    assert piv_cols == (0, 1, 2)
+    if piv_cols != (0, 1, 2):
+        raise DependentPivotsError(f"elimination pivoted on columns {piv_cols}")
     if all(x == 1 for x in A.rows[0]):
         # transformed points live on the plane {t + x + y = 1}
         for i in range(s):
-            assert sum(reduced[r][i] for r in range(3)) == 1
+            if sum(reduced[r][i] for r in range(3)) != 1:
+                raise TropsingError(f"reduced column {i} does not sum to 1")
     k = s - 3
     b_perm = []
     for r in range(k):
@@ -146,23 +136,15 @@ def gale_dual(A: CoefficientMatrix, pivots=None) -> GaleDual:
     gd = GaleDual(tuple(matrix), tuple(pivots), A)
     for arow in A.rows:
         for brow in gd.matrix:
-            assert sum(a * b for a, b in zip(arow, brow)) == 0
+            if sum(a * b for a, b in zip(arow, brow)) != 0:
+                raise TropsingError("Gale dual rows are not orthogonal to the matrix")
     return gd
 
 
-def _column_span(B: GaleDual, subset):
-    span = linalg.IncrementalSpan(len(B.matrix))
+def matroid_closure(B: GaleDual, subset):
+    span = linalg.IncrementalSpan()
     for i in subset:
         span.add(B.column(i))
-    return span
-
-
-def column_rank(B: GaleDual, subset) -> int:
-    return _column_span(B, subset).rank
-
-
-def matroid_closure(B: GaleDual, subset):
-    span = _column_span(B, subset)
     return tuple(i for i in range(B.size) if span.contains(B.column(i)))
 
 
@@ -214,11 +196,10 @@ def enumerate_flags(B: GaleDual, limit=None):
 
     Depth-first extension by rank, with the covers of each flat computed only
     once (many chains meet in the same flat).  Output canonically sorted.
-    Guarded by the enumeration limit (default 12, overridable via
-    TROPSING_LIMIT).
+    Guarded by the enumeration limit (default 12).
     """
     s = B.size
-    if s > enumeration_limit(limit):
+    if s > (DEFAULT_LIMIT if limit is None else int(limit)):
         raise TooLargeError(f"flag enumeration disabled for s={s}; raise the limit")
     top_rank = len(B.matrix)
     results = []
@@ -358,7 +339,7 @@ def bergman_member_loopfree(B: GaleDual, w) -> bool:
     levels = {}
     for i, x in enumerate(w):
         levels.setdefault(x, []).append(i)
-    span = linalg.IncrementalSpan(len(B.matrix))
+    span = linalg.IncrementalSpan()
     for lvl in sorted(levels):
         group = levels[lvl]
         for i in group:

@@ -79,7 +79,7 @@ def _cmd_subdivide(job, args):
         "cone": {
             "codimension": info.codimension,
             "white_points": list(info.white_points),
-            "lt_dim": info.lt_dim,
+            "lt_dim": info.codimension,
             "lt_basis": [jsonio.heights_to_json(v) for v in info.lt_basis],
         },
     }
@@ -156,6 +156,8 @@ def _cmd_lift(job, args):
     config = jsonio.config_from_json(job)
     if "flag" in job:
         flag = jsonio.flag_from_json(job["flag"])
+        if any(not 0 <= i < config.size for flat in flag.flats for i in flat):
+            raise ParseError(f"flag indices must lie in 0..{config.size - 1}")
     else:
         B = gale_dual(coefficient_matrix(config), _pivots(args))
         flags = enumerate_flags(B, args.limit)
@@ -181,8 +183,8 @@ def _cmd_lift(job, args):
 def _cmd_plot(job, args):
     config = jsonio.config_from_json(job)
     u, _f = _job_heights(config, job)
-    ms = regular_subdivision(config, u)
     curve = dual_curve(config, u)
+    ms = curve.subdivision
     doc = render_pair(ms, curve)
     svg_path = args.svg or "tropsing.svg"
     with open(svg_path, "w", encoding="utf-8") as fh:

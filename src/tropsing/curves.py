@@ -14,13 +14,19 @@ from . import linalg
 from .errors import NotRealizableError
 from .lattice import (
     canonical_key,
-    convex_hull,
     lattice_length,
     point_on_segment,
     polygon_area2,
     primitive,
 )
-from .subdivisions import MarkedSubdivision, SubdivisionType, upper_faces
+from .subdivisions import (
+    MarkedSubdivision,
+    SubdivisionType,
+    as_heights,
+    lifted_plane,
+    regular_subdivision,
+    segment_owners,
+)
 
 
 @dataclass(frozen=True)
@@ -80,11 +86,6 @@ class TropicalCurve:
         )
 
 
-def _cell_segments(polygon):
-    n = len(polygon)
-    return [(polygon[i], polygon[(i + 1) % n]) for i in range(n)]
-
-
 def _outward_normal(seg, polygon):
     (a, b) = seg
     n = primitive((b[1] - a[1], a[0] - b[0]))
@@ -96,27 +97,23 @@ def _outward_normal(seg, polygon):
 
 
 def dual_curve(config, u) -> TropicalCurve:
-    """Tropical curve dual to the regular subdivision of u."""
-    faces = upper_faces(config, u)
-    cells = []
+    """Tropical curve dual to the regular subdivision of u.
+
+    The vertex dual to a cell is (-b, -c) for the plane z = a + b*x + c*y
+    its points are lifted onto; the first three vertices of a cell polygon
+    are never collinear, so they fix that plane.
+    """
+    u = as_heights(config, u)
+    subdivision = regular_subdivision(config, u)
+    cells = [cell.polygon for cell in subdivision.cells]
     vertices = []
-    for face, plane in faces:
-        poly = tuple(convex_hull([config.points[i] for i in face]))
-        cells.append((poly, tuple(face)))
-        _a, b, c = plane
+    for poly in cells:
+        _a, b, c = lifted_plane(config, u, [config.index(p) for p in poly[:3]])
         vertices.append((-b, -c))
-    subdivision = MarkedSubdivision(
-        config, [(poly, marked) for poly, marked in cells], validate=False
-    )
-    # subdivision cells are sorted the same way as `faces`
-    seg_owner = {}
-    for ci, (poly, _marked) in enumerate(cells):
-        for a, b in _cell_segments(poly):
-            seg_owner.setdefault(frozenset((a, b)), []).append(ci)
     edges = []
     rays = []
     for seg, owners in sorted(
-        seg_owner.items(), key=lambda kv: sorted(canonical_key(p) for p in kv[0])
+        segment_owners(cells).items(), key=lambda kv: sorted(canonical_key(p) for p in kv[0])
     ):
         pts = sorted(seg, key=canonical_key)
         a, b = pts
@@ -126,7 +123,7 @@ def dual_curve(config, u) -> TropicalCurve:
             edges.append(CurveEdge((ci, cj), w, (ci, cj), (a, b)))
         else:
             ci = owners[0]
-            direction = _outward_normal((a, b), cells[ci][0])
+            direction = _outward_normal((a, b), cells[ci])
             rays.append(CurveRay(ci, direction, w, ci, (a, b)))
     edges.sort(key=lambda e: e.ends)
     rays.sort(key=lambda r: (r.vertex, r.direction))
@@ -174,27 +171,13 @@ def type_dimension(config, t) -> int:
     cycles.
     """
     cells = _type_cells(config, t)
-    seg_owner = {}
-    for ci, poly in enumerate(cells):
-        for a, b in _cell_segments(poly):
-            seg_owner.setdefault(frozenset((a, b)), []).append(ci)
     interior = [
         (tuple(sorted(owners)), tuple(sorted(seg, key=canonical_key)))
-        for seg, owners in seg_owner.items()
+        for seg, owners in segment_owners(cells).items()
         if len(owners) == 2
     ]
     interior.sort()
     b_count = len(interior)
-    # step direction when walking from cell x to cell y across segment seg
-    def step_dir(x, y, seg):
-        a, bb = seg
-        n = primitive((bb[1] - a[1], a[0] - bb[0]))
-        for w in cells[y]:
-            side = n[0] * (w[0] - a[0]) + n[1] * (w[1] - a[1])
-            if side != 0:
-                return n if side > 0 else (-n[0], -n[1])
-        raise ValueError("degenerate cell")
-
     adj = {}
     for ei, ((x, y), seg) in enumerate(interior):
         adj.setdefault(x, []).append((y, ei))
@@ -208,32 +191,34 @@ def type_dimension(config, t) -> int:
                 parent[nxt] = (node, ei)
                 order.append(nxt)
     tree_edges = {ei for _n, (_p, ei) in parent.items() if ei is not None}
+
+    def path_to_root(node):
+        path = []
+        while parent[node][0] is not None:
+            pnode, pei = parent[node]
+            path.append((node, pei))
+            node = pnode
+        return path
+
     rows = []
     for ei, ((x, y), seg) in enumerate(interior):
         if ei in tree_edges:
             continue
         coeffs = [(Fraction(0), Fraction(0)) for _ in range(b_count)]
 
-        def add_step(frm, to, edge_index, sign):
-            (sx, sy) = step_dir(frm, to, interior[edge_index][1])
+        # a step out of cell frm across a bounded edge runs along frm's outward normal
+        def add_step(frm, edge_index, sign):
+            (sx, sy) = _outward_normal(interior[edge_index][1], cells[frm])
             cx, cy = coeffs[edge_index]
             coeffs[edge_index] = (cx + sign * sx, cy + sign * sy)
 
-        add_step(x, y, ei, 1)
+        add_step(x, ei, 1)
         # walk y -> root -> x through the tree: y up to root contributes +,
         # root down to x contributes -, done by walking both up and combining
-        def path_to_root(node):
-            path = []
-            while parent[node][0] is not None:
-                pnode, pei = parent[node]
-                path.append((node, pnode, pei))
-                node = pnode
-            return path
-
-        for frm, to, pei in path_to_root(y):
-            add_step(frm, to, pei, 1)
-        for frm, to, pei in path_to_root(x):
-            add_step(frm, to, pei, -1)
+        for frm, pei in path_to_root(y):
+            add_step(frm, pei, 1)
+        for frm, pei in path_to_root(x):
+            add_step(frm, pei, -1)
         rows.append([c[0] for c in coeffs])
         rows.append([c[1] for c in coeffs])
     rank = linalg.rank(rows) if rows else 0
@@ -276,14 +261,9 @@ def is_balanced(curve: TropicalCurve) -> bool:
         for e in curve.edges:
             if v not in e.ends:
                 continue
-            other = e.ends[1] if e.ends[0] == v else e.ends[0]
-            a, b = curve.vertices[v], curve.vertices[other]
-            d = primitive(
-                (
-                    (b[0] - a[0]).numerator * (b[1] - a[1]).denominator,
-                    (b[1] - a[1]).numerator * (b[0] - a[0]).denominator,
-                )
-            )
+            d = curve.edge_direction(e)
+            if e.ends[1] == v:
+                d = (-d[0], -d[1])
             total[0] += e.weight * d[0]
             total[1] += e.weight * d[1]
         for r in curve.rays:

@@ -31,6 +31,11 @@ def fraction_from_json(value) -> Fraction:
         raise ParseError(f"bad rational literal {value!r}") from exc
 
 
+def _is_int(x) -> bool:
+    """JSON integer; booleans are not, although Python counts them as ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def point_to_json(p):
     return [int(p[0]), int(p[1])]
 
@@ -52,7 +57,7 @@ def config_from_json(obj) -> PointConfiguration:
         raise ParseError("expected an object with a 'points' list")
     pts = obj["points"]
     if not isinstance(pts, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(c, int) for c in p)
+        isinstance(p, list) and len(p) == 2 and all(_is_int(c) for c in p)
         for p in pts
     ):
         raise ParseError("'points' must be a list of [i, j] integer pairs")
@@ -133,10 +138,11 @@ def flag_to_json(flag: FlagOfFlats) -> dict:
 
 
 def flag_from_json(obj) -> FlagOfFlats:
-    try:
-        return FlagOfFlats(tuple(tuple(sorted(int(i) for i in f)) for f in obj))
-    except (TypeError, ValueError) as exc:
-        raise ParseError("a flag must be a list of index lists") from exc
+    if not isinstance(obj, list) or not all(
+        isinstance(f, list) and all(_is_int(i) for i in f) for f in obj
+    ):
+        raise ParseError("a flag must be a list of index lists")
+    return FlagOfFlats(tuple(tuple(sorted(f)) for f in obj))
 
 
 def report_to_json(rep: SingularityReport) -> dict:

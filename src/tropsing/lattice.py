@@ -58,24 +58,20 @@ def convex_hull(points):
     return cycle[start:] + cycle[:start]
 
 
+def polygon_edges(cycle):
+    """Consecutive vertex pairs of a cycle, the last one closing it."""
+    n = len(cycle)
+    return [(cycle[i], cycle[(i + 1) % n]) for i in range(n)]
+
+
 def polygon_area2(cycle):
     """Twice the signed area of a vertex cycle (positive for CCW)."""
-    total = 0
-    n = len(cycle)
-    for i in range(n):
-        x1, y1 = cycle[i]
-        x2, y2 = cycle[(i + 1) % n]
-        total += x1 * y2 - x2 * y1
-    return total
+    return sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in polygon_edges(cycle))
 
 
 def point_in_polygon(p, cycle) -> bool:
     """Exact test, boundary counts as inside.  cycle must be CCW."""
-    n = len(cycle)
-    for i in range(n):
-        if orient(cycle[i], cycle[(i + 1) % n], p) < 0:
-            return False
-    return True
+    return all(orient(a, b, p) >= 0 for a, b in polygon_edges(cycle))
 
 
 def point_on_segment(p, a, b) -> bool:
@@ -83,6 +79,11 @@ def point_on_segment(p, a, b) -> bool:
     if orient(a, b, p) != 0:
         return False
     return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+
+
+def point_on_boundary(p, cycle) -> bool:
+    """Whether p lies on an edge of the vertex cycle."""
+    return any(point_on_segment(p, a, b) for a, b in polygon_edges(cycle))
 
 
 def lattice_points_in_polygon(cycle):
@@ -161,13 +162,9 @@ class PointConfiguration:
         return tuple(Fraction(p[1]) for p in self.points)
 
     def boundary_indices(self):
-        cyc = self.polygon
-        n = len(cyc)
-        out = []
-        for idx, p in enumerate(self.points):
-            if any(point_on_segment(p, cyc[i], cyc[(i + 1) % n]) for i in range(n)):
-                out.append(idx)
-        return tuple(out)
+        return tuple(
+            idx for idx, p in enumerate(self.points) if point_on_boundary(p, self.polygon)
+        )
 
     def __eq__(self, other):
         return isinstance(other, PointConfiguration) and self.points == other.points

@@ -106,8 +106,7 @@ def solve(rows, rhs):
 class IncrementalSpan:
     """Maintains a reduced basis while columns get added one at a time."""
 
-    def __init__(self, dim):
-        self.dim = dim
+    def __init__(self):
         self.rows = []  # reduced basis, each with a leading pivot
 
     def _reduce(self, vec):
@@ -131,7 +130,3 @@ class IncrementalSpan:
                 self.rows.append(tuple(a * inv for a in v))
                 return True
         return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)

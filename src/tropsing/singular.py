@@ -17,13 +17,8 @@ from fractions import Fraction
 
 from .bergman import CoefficientMatrix
 from .errors import InsufficientBoundaryPointsError
-from .lattice import Circuit, orient, point_on_segment
-from .subdivisions import (
-    as_heights,
-    cone_info,
-    decompose_weightclass_lineality,
-    regular_subdivision,
-)
+from .lattice import Circuit, orient, point_on_boundary, point_on_segment
+from .subdivisions import as_heights, cone_info, decompose_weightclass_lineality
 from .curves import dual_curve, locate_origin, vertex_multiplicity
 
 TYPE_A3 = "TypeA3"
@@ -86,23 +81,7 @@ def _edge_distances(curve, edge):
 
 
 def _interior_count(cell, config):
-    poly = cell.polygon
-    inner = [
-        i
-        for i in cell.marked
-        if config.points[i] not in poly
-        and not any(
-            point_on_segment(config.points[i], poly[k], poly[(k + 1) % len(poly)])
-            for k in range(len(poly))
-        )
-    ]
-    return len(inner)
-
-
-def _circuit_heights(config, u, z):
-    """Normalized heights via the weight-class decomposition."""
-    u_wc, _cx, _cy, _c1 = decompose_weightclass_lineality(config, u, z)
-    return u_wc
+    return sum(1 for i in cell.marked if not point_on_boundary(config.points[i], cell.polygon))
 
 
 def classify_singularity(config, u) -> SingularityReport:
@@ -125,9 +104,9 @@ def classify_singularity(config, u) -> SingularityReport:
     nu the opposite-apex height (interior case).
     """
     u = as_heights(config, u)
-    ms = regular_subdivision(config, u)
-    info = cone_info(ms)
     curve = dual_curve(config, u)
+    ms = curve.subdivision
+    info = cone_info(ms)
     where, obj = locate_origin(curve)
     clean = not info.white_points
 
@@ -271,7 +250,7 @@ def _classify_edge(config, u, curve, ms, info, edge, clean):
                 circuit=z,
                 note="unequal distances on a weight-2 edge",
             )
-        u_wc = _circuit_heights(config, u, z)
+        u_wc = decompose_weightclass_lineality(config, u, z)[0]
         mu = u_wc[z.indices[0]]
         lam = max(
             u_wc[i]
@@ -325,7 +304,7 @@ def _classify_edge(config, u, curve, ms, info, edge, clean):
                 l2=d3,
                 note="4-valent vertex farther from the origin than the 3-valent one",
             )
-        u_wc = _circuit_heights(config, u, z)
+        u_wc = decompose_weightclass_lineality(config, u, z)[0]
         mu = u_wc[z.indices[0]]
         quad = ms.cells[c4]
         grays = [i for i in quad.marked if i not in z.indices]
@@ -378,7 +357,7 @@ def _classify_ray(config, u, curve, ms, info, ray, clean):
     vpos = curve.vertices[ray.vertex]
     if val == 4:
         if clean and info.codimension == 2:
-            u_wc = _circuit_heights(config, u, z)
+            u_wc = decompose_weightclass_lineality(config, u, z)[0]
             mu = u_wc[z.indices[0]]
             quad = ms.cells[ray.vertex]
             grays = [i for i in quad.marked if i not in z.indices]

@@ -2,8 +2,10 @@
 
 A height vector lifts every configuration point into 3-space; projecting the
 upper faces of the lifted hull back down gives the regular marked subdivision.
-Since configurations are tiny we find the upper faces by exhausting support
-planes through point triples, with exact rational arithmetic throughout.
+Since configurations are tiny, regular_subdivision finds the upper faces in
+one scan over the planes through point triples, with exact rational
+arithmetic throughout.  It is the only place the lifted hull is computed:
+the dual curve reads its vertices off the cells of that subdivision.
 """
 
 from dataclasses import dataclass
@@ -23,8 +25,10 @@ from .lattice import (
     canonical_key,
     convex_hull,
     orient,
+    point_in_polygon,
     point_on_segment,
     polygon_area2,
+    polygon_edges,
     primitive,
 )
 
@@ -62,7 +66,7 @@ class MarkedSubdivision:
                 poly, marked = cell.polygon, cell.marked
             else:
                 poly, marked = cell
-            poly = _canon_cycle([tuple(p) for p in poly])
+            poly = tuple(convex_hull(poly))
             marked = tuple(sorted(int(i) for i in marked))
             norm.append(MarkedCell(poly, marked))
         norm.sort(key=lambda c: tuple(sorted(canonical_key(p) for p in c.polygon)))
@@ -73,7 +77,6 @@ class MarkedSubdivision:
     def _validate(self):
         config = self.config
         area = 0
-        seg_count = {}
         for cell in self.cells:
             poly = cell.polygon
             if len(poly) < 3 or polygon_area2(poly) <= 0:
@@ -84,27 +87,22 @@ class MarkedSubdivision:
                 if v not in marked_pts:
                     raise SubdivisionError(f"cell vertex {v} is not marked")
             for p in marked_pts:
-                if not _in_cycle(p, poly):
+                if not point_in_polygon(p, poly):
                     raise SubdivisionError(f"marked point {p} lies outside its cell")
-            for a, b in _edges(poly):
-                seg_count.setdefault(frozenset((a, b)), []).append(cell)
-        if area != polygon_area2(self.config.polygon):
+        if area != polygon_area2(config.polygon):
             raise SubdivisionError("cells do not cover the polygon")
-        hull = self.config.polygon
-        n = len(hull)
-        for seg, owners in seg_count.items():
+        for seg, owners in segment_owners(c.polygon for c in self.cells).items():
             a, b = tuple(seg)
             if len(owners) == 1:
                 on_boundary = any(
-                    point_on_segment(a, hull[i], hull[(i + 1) % n])
-                    and point_on_segment(b, hull[i], hull[(i + 1) % n])
-                    for i in range(n)
+                    point_on_segment(a, p, q) and point_on_segment(b, p, q)
+                    for p, q in polygon_edges(config.polygon)
                 )
                 if not on_boundary:
                     raise SubdivisionError(f"interior segment {a}-{b} has only one cell")
             elif len(owners) == 2:
-                left = set(_marked_on_segment(config, owners[0], a, b))
-                right = set(_marked_on_segment(config, owners[1], a, b))
+                left = set(_marked_on_segment(config, self.cells[owners[0]], a, b))
+                right = set(_marked_on_segment(config, self.cells[owners[1]], a, b))
                 if left != right:
                     raise SubdivisionError(f"markings disagree on shared face {a}-{b}")
             else:
@@ -138,73 +136,53 @@ class MarkedSubdivision:
         return f"MarkedSubdivision({len(self.cells)} cells)"
 
 
-def _canon_cycle(poly):
-    cyc = convex_hull(poly)
-    return tuple(cyc)
-
-
-def _edges(poly):
-    n = len(poly)
-    return [(poly[i], poly[(i + 1) % n]) for i in range(n)]
-
-
-def _in_cycle(p, poly):
-    n = len(poly)
-    return all(orient(poly[i], poly[(i + 1) % n], p) >= 0 for i in range(n))
+def segment_owners(cycles):
+    """Map each edge (a frozenset of its two ends) to the indices of its cycles."""
+    owners = {}
+    for ci, cycle in enumerate(cycles):
+        for a, b in polygon_edges(cycle):
+            owners.setdefault(frozenset((a, b)), []).append(ci)
+    return owners
 
 
 def _marked_on_segment(config, cell, a, b):
     return [i for i in cell.marked if point_on_segment(config.points[i], a, b)]
 
 
-def upper_faces(config, u):
-    """Upper facets of the lifted configuration.
+def lifted_plane(config, u, trip):
+    """(a, b, c) with z = a + b*x + c*y through the lifts of three points."""
+    pts = config.points
+    return linalg.solve(
+        [[Fraction(1), Fraction(pts[i][0]), Fraction(pts[i][1])] for i in trip],
+        [u[i] for i in trip],
+    )
 
-    Returns a list of (marked_indices, plane) pairs, one per facet, where
-    plane = (a, b, c) describes z = a + b*x + c*y and marked_indices are the
-    points whose lift lies on that plane.  The list is sorted the same way
-    the cells of regular_subdivision are.
+
+def regular_subdivision(config, u) -> MarkedSubdivision:
+    """Marked subdivision induced by the heights u (upper, so larger wins).
+
+    Every plane through the lifts of three non-collinear points that no
+    lifted point lies above is an upper face; its cell marks the points
+    lifted onto it.
     """
     u = as_heights(config, u)
     pts = config.points
-    s = config.size
-    seen = {}
-    for trip in combinations(range(s), 3):
-        p, q, r = (pts[i] for i in trip)
-        if orient(p, q, r) == 0:
+    faces = set()
+    for trip in combinations(range(config.size), 3):
+        if orient(*(pts[i] for i in trip)) == 0:
             continue
-        plane = linalg.solve(
-            [[Fraction(1), Fraction(x), Fraction(y)] for x, y in (p, q, r)],
-            [u[i] for i in trip],
-        )
-        a, b, c = plane
-        ok = True
+        a, b, c = lifted_plane(config, u, trip)
         face = []
         for i, (x, y) in enumerate(pts):
             val = a + b * x + c * y
             if u[i] > val:
-                ok = False
                 break
             if u[i] == val:
                 face.append(i)
-        if ok:
-            seen[tuple(face)] = plane
-    # sorted like MarkedSubdivision sorts its cells, so indices line up
-    faces = sorted(
-        seen.items(),
-        key=lambda item: tuple(
-            sorted(canonical_key(p) for p in convex_hull([pts[i] for i in item[0]]))
-        ),
-    )
-    return faces
-
-
-def regular_subdivision(config, u) -> MarkedSubdivision:
-    """Marked subdivision induced by the heights u (upper, so larger wins)."""
-    cells = []
-    for face, _plane in upper_faces(config, u):
-        poly = convex_hull([config.points[i] for i in face])
-        cells.append(MarkedCell(tuple(poly), tuple(face)))
+        else:
+            faces.add(tuple(face))
+    # the constructor takes each cell's polygon as the hull of its points
+    cells = [([pts[i] for i in face], face) for face in faces]
     return MarkedSubdivision(config, cells, validate=False)
 
 
@@ -212,7 +190,6 @@ def regular_subdivision(config, u) -> MarkedSubdivision:
 class ConeInfo:
     codimension: int
     white_points: tuple
-    lt_dim: int
     lt_basis: tuple  # basis of the summed per-cell relation spaces
 
 
@@ -223,8 +200,7 @@ def cone_info(ms: MarkedSubdivision) -> ConeInfo:
         stacked.extend(affine_relation_space(ms.config, cell.marked))
     basis = [list(v) for v in linalg.rref(stacked)[0]] if stacked else []
     basis = tuple(tuple(row) for row in basis)
-    dim = len(basis)
-    return ConeInfo(dim, ms.white_points(), dim, basis)
+    return ConeInfo(len(basis), ms.white_points(), basis)
 
 
 def lineality_basis(config):
@@ -249,7 +225,7 @@ def _circuit_face_cell(ms, z: Circuit):
                 a = min(zpts, key=canonical_key)
                 b = max(zpts, key=canonical_key)
                 ends = frozenset((a, b))
-            for e in _edges(cell.polygon):
+            for e in polygon_edges(cell.polygon):
                 if frozenset(e) == ends:
                     return cell
     return None
@@ -277,10 +253,7 @@ def decompose_weightclass_lineality(config, u, z: Circuit):
             if orient(pts[cand[0]], pts[cand[1]], pts[cand[2]]) != 0:
                 trip = cand
                 break
-        a, b, c = linalg.solve(
-            [[Fraction(1), Fraction(pts[i][0]), Fraction(pts[i][1])] for i in trip],
-            [u[i] for i in trip],
-        )
+        a, b, c = lifted_plane(config, u, trip)
         rest = [i for i in zidx if i not in trip]
         for i in rest:
             if u[i] != a + b * pts[i][0] + c * pts[i][1]:

@@ -8,6 +8,7 @@ from tropsing import (
     DependentPivotsError,
     MalformedFlagError,
     TooLargeError,
+    TropsingError,
     ZeroTorusCoordinateError,
     bergman_member_circuit_oracle,
     bergman_member_loopfree,
@@ -20,6 +21,7 @@ from tropsing import (
     weight_class_sample,
 )
 from tropsing.bergman import FlagOfFlats, minimal_rowspace_supports, minor_zero_pattern
+from tropsing import linalg
 from tropsing.linalg import rank
 
 
@@ -86,6 +88,30 @@ class TestGaleDual:
         # (0,0), (1,0), (2,0) are collinear
         with pytest.raises(DependentPivotsError):
             gale_dual(coefficient_matrix(intro_config), (0, 1, 2))
+
+    def test_wrong_elimination_pivots_raise(self, intro_config, monkeypatch):
+        real = linalg.rref
+
+        def shifted(rows):
+            reduced, pivots = real(rows)
+            return reduced, tuple(p + 1 for p in pivots)
+
+        monkeypatch.setattr(linalg, "rref", shifted)
+        with pytest.raises(DependentPivotsError):
+            gale_dual(coefficient_matrix(intro_config), (0, 1, 3))
+
+    def test_corrupted_elimination_raises(self, intro_config, monkeypatch):
+        real = linalg.rref
+
+        def corrupted(rows):
+            reduced, pivots = real(rows)
+            first = list(reduced[0])
+            first[-1] += 1
+            return [tuple(first)] + list(reduced[1:]), pivots
+
+        monkeypatch.setattr(linalg, "rref", corrupted)
+        with pytest.raises(TropsingError):
+            gale_dual(coefficient_matrix(intro_config), (0, 1, 3))
 
     def test_matroid_independent_of_pivots(self, eight_point_config):
         A = coefficient_matrix(eight_point_config)
@@ -178,14 +204,6 @@ class TestFlagEnumeration:
         B = gale_dual(coefficient_matrix(five_point_config))
         with pytest.raises(TooLargeError):
             enumerate_flags(B, limit=4)
-
-    def test_env_override(self, five_point_config, monkeypatch):
-        B = gale_dual(coefficient_matrix(five_point_config))
-        monkeypatch.setenv("TROPSING_LIMIT", "4")
-        with pytest.raises(TooLargeError):
-            enumerate_flags(B)
-        monkeypatch.setenv("TROPSING_LIMIT", "12")
-        assert enumerate_flags(B)
 
 
 class TestClassifyFlag:

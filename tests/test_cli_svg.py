@@ -143,11 +143,25 @@ class TestCli:
         assert code == 1
         assert out["error"]["type"] == "TooLargeError"
 
-    def test_env_limit(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("TROPSING_LIMIT", "4")
-        job = {"points": INTRO_JOB["points"]}
-        code, out = run_job(tmp_path, capsys, "flags", job)
-        assert code == 1
+    def test_boolean_coordinate_exits_2(self, tmp_path, capsys):
+        job = {"points": [[0, 0], [True, 0], [0, 1]], "heights": ["0", "0", "0"]}
+        code, out = run_job(tmp_path, capsys, "subdivide", job)
+        assert code == 2
+        assert out["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            [[99], [0, 1], [0, 1, 2], [0, 1, 2, 3, 4, 5]],
+            [[0.5], [0, 1], [0, 1, 2], [0, 1, 2, 3, 4, 5]],
+            [[True], [0, 1], [0, 1, 2], [0, 1, 2, 3, 4, 5]],
+        ],
+    )
+    def test_lift_bad_flag_index_exits_2(self, tmp_path, capsys, flag):
+        job = {"points": [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [0, 2]], "flag": flag}
+        code, out = run_job(tmp_path, capsys, "lift", job)
+        assert code == 2
+        assert out["error"]["type"] == "ParseError"
 
     def test_pivots_flag(self, tmp_path, capsys):
         job = {"points": INTRO_JOB["points"]}

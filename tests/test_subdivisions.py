@@ -104,7 +104,6 @@ class TestConeInfo:
     def test_intro_codim_one(self, intro_config, intro_heights):
         info = cone_info(regular_subdivision(intro_config, intro_heights))
         assert info.codimension == 1
-        assert info.lt_dim == 1
 
     def test_unimodular_triangulation_codim_zero(self, grid_config):
         rnd = random.Random(17)
