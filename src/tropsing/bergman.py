@@ -4,11 +4,14 @@ The curves through a fixed torus point with vanishing first derivatives form
 the kernel of a 3 x s matrix A.  Its tropicalization only depends on the
 matroid of the columns of a Gale dual B of A, and its maximal cones are the
 weight classes of complete flags of flats of that matroid.  Everything here
-is exact; matroid ranks come from Gaussian elimination over the columns of B.
+is exact.  The cocircuits of A's column matroid are read off its 3 x 3
+minors; closures, flats and loop-free membership use Gaussian elimination
+over the columns of B.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from . import linalg
@@ -20,7 +23,7 @@ from .errors import (
     TropsingError,
     ZeroTorusCoordinateError,
 )
-from .lattice import Circuit, collinear, convex_hull, orient
+from .lattice import Circuit, circuit_kind, orient
 
 DEFAULT_LIMIT = 12
 
@@ -39,6 +42,37 @@ class CoefficientMatrix:
 
     def column(self, i):
         return tuple(row[i] for row in self.rows)
+
+    @cached_property
+    def cocircuits(self):
+        """Complements of the column matroid's hyperplanes, by size, then indices.
+
+        Two non-parallel columns i, j span the hyperplane of every column k
+        with minor(a_i, a_j, a_k) = 0, and each hyperplane is found from its
+        first such pair.
+        """
+        s = self.size
+        cols = [self.column(i) for i in range(s)]
+        found, covered = set(), set()
+        for i, j in combinations(range(s), 2):
+            if (i, j) in covered:
+                continue
+            plane = [k for k in range(s) if minor(cols[i], cols[j], cols[k]) == 0]
+            if len(plane) < s:  # all minors vanish when a_i, a_j are parallel
+                covered.update(combinations(plane, 2))
+                found.add(frozenset(range(s)).difference(plane))
+        if not found:
+            raise TropsingError("coefficient matrix has rank < 3")
+        return tuple(sorted(found, key=lambda f: (len(f), sorted(f))))
+
+
+def minor(u, v, w):
+    """Determinant of the 3 x 3 matrix with columns u, v, w."""
+    return (
+        u[0] * (v[1] * w[2] - v[2] * w[1])
+        - v[0] * (u[1] * w[2] - u[2] * w[1])
+        + w[0] * (u[1] * v[2] - u[2] * v[1])
+    )
 
 
 def coefficient_matrix(config, p=1, q=1) -> CoefficientMatrix:
@@ -97,9 +131,8 @@ def gale_dual(A: CoefficientMatrix, pivots=None) -> GaleDual:
     """
     s = A.size
     if pivots is None:
-        pivots = None
         for cand in combinations(range(s), 3):
-            if linalg.rank([A.column(i) for i in cand]) == 3:
+            if minor(*(A.column(i) for i in cand)) != 0:
                 pivots = cand
                 break
         if pivots is None:
@@ -108,7 +141,7 @@ def gale_dual(A: CoefficientMatrix, pivots=None) -> GaleDual:
         pivots = tuple(int(i) for i in pivots)
         if len(set(pivots)) != 3:
             raise DependentPivotsError("need three distinct pivot indices")
-        if linalg.rank([A.column(i) for i in pivots]) != 3:
+        if minor(*(A.column(i) for i in pivots)) == 0:
             raise DependentPivotsError(f"pivot columns {pivots} are dependent")
     rest = [i for i in range(s) if i not in pivots]
     order = list(pivots) + rest
@@ -246,32 +279,28 @@ def classify_flag(flag: FlagOfFlats, config) -> FlagClass:
     blocks = flag.blocks
     top = blocks[-1]
     pts = config.points
+    kind = circuit_kind(pts[i] for i in top)
+    if kind is None:
+        raise MalformedFlagError(f"top block {tuple(top)} is not a circuit")
     if len(top) == 4:
         if any(len(b) != 1 for b in blocks[:-1]):
             raise MalformedFlagError("4-element top block requires singleton blocks")
-        if any(orient(pts[a], pts[b], pts[c]) == 0 for a, b, c in combinations(top, 3)):
-            raise MalformedFlagError("top block contains a collinear triple")
-        kind = "B" if len(convex_hull([pts[i] for i in top])) == 4 else "A"
         return FlagClass("A", Circuit(tuple(top), kind))
-    if len(top) == 3:
-        if not collinear([pts[i] for i in top]):
-            raise MalformedFlagError("3-element top block is not collinear")
-        pairs = [k for k, b in enumerate(blocks[:-1]) if len(b) == 2]
-        if len(pairs) != 1 or any(
-            len(b) != 1 for k, b in enumerate(blocks[:-1]) if k != pairs[0]
-        ):
-            raise MalformedFlagError("expected exactly one pair block below the circuit")
-        j = pairs[0]
-        pair = blocks[j]
-        a, b = pts[top[0]], pts[top[1]]
-        off_line = lambda i: orient(a, b, pts[i]) != 0
-        if not (off_line(pair[0]) and off_line(pair[1])):
-            raise MalformedFlagError("pair block must lie off the circuit line")
-        for later in blocks[j + 1 : -1]:
-            if off_line(later[0]):
-                raise MalformedFlagError("blocks above the pair must lie on the line")
-        return FlagClass("B", Circuit(tuple(top), "C"), tuple(pair), True)
-    raise MalformedFlagError(f"top block has size {len(top)}")
+    pairs = [k for k, b in enumerate(blocks[:-1]) if len(b) == 2]
+    if len(pairs) != 1 or any(
+        len(b) != 1 for k, b in enumerate(blocks[:-1]) if k != pairs[0]
+    ):
+        raise MalformedFlagError("expected exactly one pair block below the circuit")
+    j = pairs[0]
+    pair = blocks[j]
+    a, b = pts[top[0]], pts[top[1]]
+    off_line = lambda i: orient(a, b, pts[i]) != 0
+    if not (off_line(pair[0]) and off_line(pair[1])):
+        raise MalformedFlagError("pair block must lie off the circuit line")
+    for later in blocks[j + 1 : -1]:
+        if off_line(later[0]):
+            raise MalformedFlagError("blocks above the pair must lie on the line")
+    return FlagClass("B", Circuit(tuple(top), kind), tuple(pair), True)
 
 
 @dataclass(frozen=True)
@@ -350,42 +379,9 @@ def bergman_member_loopfree(B: GaleDual, w) -> bool:
     return True
 
 
-_SUPPORT_CACHE = {}
-
-
 def minimal_rowspace_supports(A: CoefficientMatrix):
-    """Minimal supports of nonzero vectors in the row space of A.
-
-    Exhaustive subset elimination: S qualifies iff the row space meets the
-    coordinate subspace of S nontrivially while every S minus one point meets
-    it only in zero.  Cached per matrix.
-    """
-    key = A.rows
-    if key in _SUPPORT_CACHE:
-        return _SUPPORT_CACHE[key]
-    s = A.size
-    if s > 2 * DEFAULT_LIMIT:
-        raise TooLargeError("support enumeration is exponential in s")
-    dim_cache = {}
-
-    def dim_within(subset):
-        if subset not in dim_cache:
-            outside = [i for i in range(s) if i not in subset]
-            r = linalg.rank([[row[i] for i in outside] for row in A.rows]) if outside else 0
-            dim_cache[subset] = linalg.rank(A.rows) - r
-        return dim_cache[subset]
-
-    supports = []
-    for size in range(1, s + 1):
-        for cand in combinations(range(s), size):
-            fs = frozenset(cand)
-            if any(sup <= fs for sup in supports):
-                continue
-            if dim_within(fs) >= 1 and all(dim_within(fs - {i}) == 0 for i in fs):
-                supports.append(fs)
-    result = tuple(sorted(supports, key=lambda f: (len(f), sorted(f))))
-    _SUPPORT_CACHE[key] = result
-    return result
+    """Minimal supports of nonzero row-space vectors: A's cocircuits, kept on A."""
+    return A.cocircuits
 
 
 def bergman_member_circuit_oracle(A: CoefficientMatrix, w) -> bool:
@@ -404,15 +400,8 @@ def bergman_member_circuit_oracle(A: CoefficientMatrix, w) -> bool:
 
 def minor_zero_pattern(A: CoefficientMatrix):
     """Which 3x3 minors vanish; this is the matroid fingerprint of A."""
-    s = A.size
-    zeros = set()
-    for trip in combinations(range(s), 3):
-        cols = [A.column(i) for i in trip]
-        det = (
-            cols[0][0] * (cols[1][1] * cols[2][2] - cols[1][2] * cols[2][1])
-            - cols[1][0] * (cols[0][1] * cols[2][2] - cols[0][2] * cols[2][1])
-            + cols[2][0] * (cols[0][1] * cols[1][2] - cols[0][2] * cols[1][1])
-        )
-        if det == 0:
-            zeros.add(trip)
-    return frozenset(zeros)
+    return frozenset(
+        trip
+        for trip in combinations(range(A.size), 3)
+        if minor(*(A.column(i) for i in trip)) == 0
+    )

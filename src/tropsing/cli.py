@@ -162,7 +162,7 @@ def _cmd_lift(job, args):
         B = gale_dual(coefficient_matrix(config), _pivots(args))
         flags = enumerate_flags(B, args.limit)
         idx = job.get("flag_index", 0)
-        if not isinstance(idx, int) or not 0 <= idx < len(flags):
+        if not jsonio.is_int(idx) or not 0 <= idx < len(flags):
             raise ParseError(f"'flag_index' out of range (0..{len(flags) - 1})")
         flag = flags[idx]
     exponents = None

@@ -35,7 +35,7 @@ class DependentPivotsError(TropsingError):
 
 
 class TooLargeError(TropsingError):
-    """Enumeration guard exceeded (see the limit argument / --limit)."""
+    """Flag enumeration guard exceeded (see the limit argument / --limit)."""
 
 
 class MalformedFlagError(TropsingError):

@@ -31,7 +31,7 @@ def fraction_from_json(value) -> Fraction:
         raise ParseError(f"bad rational literal {value!r}") from exc
 
 
-def _is_int(x) -> bool:
+def is_int(x) -> bool:
     """JSON integer; booleans are not, although Python counts them as ints."""
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -57,11 +57,13 @@ def config_from_json(obj) -> PointConfiguration:
         raise ParseError("expected an object with a 'points' list")
     pts = obj["points"]
     if not isinstance(pts, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(_is_int(c) for c in p)
+        isinstance(p, list) and len(p) == 2 and all(is_int(c) for c in p)
         for p in pts
     ):
         raise ParseError("'points' must be a list of [i, j] integer pairs")
-    relaxed = bool(obj.get("relaxed", False))
+    relaxed = obj.get("relaxed", False)
+    if not isinstance(relaxed, bool):
+        raise ParseError("'relaxed' must be true or false")
     if relaxed:
         return PointConfiguration.relaxed([tuple(p) for p in pts])
     return PointConfiguration([tuple(p) for p in pts])
@@ -139,7 +141,7 @@ def flag_to_json(flag: FlagOfFlats) -> dict:
 
 def flag_from_json(obj) -> FlagOfFlats:
     if not isinstance(obj, list) or not all(
-        isinstance(f, list) and all(_is_int(i) for i in f) for f in obj
+        isinstance(f, list) and all(is_int(i) for i in f) for f in obj
     ):
         raise ParseError("a flag must be a list of index lists")
     return FlagOfFlats(tuple(tuple(sorted(f)) for f in obj))

@@ -31,11 +31,6 @@ def orient(a, b, c) -> int:
     return (v > 0) - (v < 0)
 
 
-def collinear(points) -> bool:
-    pts = list(points)
-    return all(orient(pts[0], pts[1], p) == 0 for p in pts[2:]) if len(pts) >= 3 else True
-
-
 def convex_hull(points):
     """CCW vertex cycle of the convex hull, starting at the canonical-smallest vertex."""
     pts = sorted(set(map(tuple, points)))
@@ -191,28 +186,35 @@ class Circuit:
         return tuple(config.points[i] for i in self.indices)
 
 
+def circuit_kind(points):
+    """Kind ('C', 'A' or 'B') of the circuit on distinct points, None if not one."""
+    pts = list(points)
+    if len(pts) == 3:
+        return "C" if orient(*pts) == 0 else None
+    if len(pts) != 4 or any(orient(*trip) == 0 for trip in combinations(pts, 3)):
+        return None
+    return "B" if len(convex_hull(pts)) == 4 else "A"
+
+
 def circuits(config) -> tuple:
     """All circuits of the configuration, canonically sorted."""
-    pts = config.points
     found = []
-    for trip in combinations(range(len(pts)), 3):
-        if orient(pts[trip[0]], pts[trip[1]], pts[trip[2]]) == 0:
-            found.append(Circuit(trip, "C"))
-    for quad in combinations(range(len(pts)), 4):
-        if any(orient(pts[a], pts[b], pts[c]) == 0 for a, b, c in combinations(quad, 3)):
-            continue
-        hull = convex_hull([pts[i] for i in quad])
-        kind = "B" if len(hull) == 4 else "A"
-        found.append(Circuit(quad, kind))
-    return tuple(sorted(found, key=lambda z: (len(z.indices), z.indices)))
+    for size in (3, 4):
+        for idx in combinations(range(config.size), size):
+            kind = circuit_kind(config.points[i] for i in idx)
+            if kind is not None:
+                found.append(Circuit(idx, kind))
+    return tuple(found)
 
 
 def circuit_of(config, indices) -> Circuit:
     """Build (and validate) the circuit on the given configuration indices."""
     idx = tuple(sorted(indices))
-    for z in circuits(config):
-        if z.indices == idx:
-            return z
+    if len(set(idx)) == len(idx) and all(i in range(config.size) for i in idx):
+        idx = tuple(map(int, idx))
+        kind = circuit_kind(config.points[i] for i in idx)
+        if kind is not None:
+            return Circuit(idx, kind)
     raise ConfigurationError(f"indices {idx} do not form a circuit")
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .bergman import CoefficientMatrix
 from .errors import InsufficientBoundaryPointsError
 from .lattice import Circuit, orient, point_on_boundary, point_on_segment
-from .subdivisions import as_heights, cone_info, decompose_weightclass_lineality
+from .subdivisions import as_heights, cone_info, split_weightclass_lineality
 from .curves import dual_curve, locate_origin, vertex_multiplicity
 
 TYPE_A3 = "TypeA3"
@@ -250,7 +250,7 @@ def _classify_edge(config, u, curve, ms, info, edge, clean):
                 circuit=z,
                 note="unequal distances on a weight-2 edge",
             )
-        u_wc = decompose_weightclass_lineality(config, u, z)[0]
+        u_wc = split_weightclass_lineality(config, u, z)[0]
         mu = u_wc[z.indices[0]]
         lam = max(
             u_wc[i]
@@ -304,7 +304,7 @@ def _classify_edge(config, u, curve, ms, info, edge, clean):
                 l2=d3,
                 note="4-valent vertex farther from the origin than the 3-valent one",
             )
-        u_wc = decompose_weightclass_lineality(config, u, z)[0]
+        u_wc = split_weightclass_lineality(config, u, z)[0]
         mu = u_wc[z.indices[0]]
         quad = ms.cells[c4]
         grays = [i for i in quad.marked if i not in z.indices]
@@ -357,7 +357,7 @@ def _classify_ray(config, u, curve, ms, info, ray, clean):
     vpos = curve.vertices[ray.vertex]
     if val == 4:
         if clean and info.codimension == 2:
-            u_wc = decompose_weightclass_lineality(config, u, z)[0]
+            u_wc = split_weightclass_lineality(config, u, z)[0]
             mu = u_wc[z.indices[0]]
             quad = ms.cells[ray.vertex]
             grays = [i for i in quad.marked if i not in z.indices]

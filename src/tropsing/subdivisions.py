@@ -23,6 +23,7 @@ from .lattice import (
     Circuit,
     affine_relation_space,
     canonical_key,
+    circuit_kind,
     convex_hull,
     orient,
     point_in_polygon,
@@ -241,10 +242,14 @@ def decompose_weightclass_lineality(config, u, z: Circuit):
     preferred), and c_1 is always 0 since weight classes absorb constant
     shifts.  Raises NotInUnionError for the excluded boundary-circuit cones.
     """
-    u = as_heights(config, u)
-    ms = regular_subdivision(config, u)
-    if _circuit_face_cell(ms, z) is None:
+    if _circuit_face_cell(regular_subdivision(config, u), z) is None:
         raise ConfigurationError("subdivision of u does not contain the circuit")
+    return split_weightclass_lineality(config, u, z)
+
+
+def split_weightclass_lineality(config, u, z: Circuit):
+    """decompose_weightclass_lineality, less its check that z is a cell face of u."""
+    u = as_heights(config, u)
     pts = config.points
     zidx = list(z.indices)
     if z.kind in ("A", "B"):
@@ -354,11 +359,9 @@ def codim1_circuit(ms: MarkedSubdivision) -> Circuit:
         raise WrongCodimensionError(f"expected codimension 1, got {info.codimension}")
     relation = info.lt_basis[0]
     support = tuple(i for i, x in enumerate(relation) if x != 0)
-    pts = [ms.config.points[i] for i in support]
-    if len(support) == 3:
-        kind = "C"
-    else:
-        kind = "B" if len(convex_hull(pts)) == 4 else "A"
+    kind = circuit_kind(ms.config.points[i] for i in support)
+    if kind is None:
+        raise SubdivisionError(f"relation support {support} is not a circuit")
     return Circuit(support, kind)
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from tropsing import (
     DependentPivotsError,
     MalformedFlagError,
+    PointConfiguration,
     TooLargeError,
     TropsingError,
     ZeroTorusCoordinateError,
@@ -20,9 +22,15 @@ from tropsing import (
     is_flat,
     weight_class_sample,
 )
-from tropsing.bergman import FlagOfFlats, minimal_rowspace_supports, minor_zero_pattern
+from tropsing.bergman import (
+    CoefficientMatrix,
+    FlagOfFlats,
+    minimal_rowspace_supports,
+    minor_zero_pattern,
+)
 from tropsing import linalg
 from tropsing.linalg import rank
+from tropsing.singular import coefficient_matrix_non_torus
 
 
 GOLDEN_A_8PT = [
@@ -364,3 +372,70 @@ class TestReversedExistence:
             off = [i for i in range(8) if orient(a, b, pts[i]) != 0]
             for pair in combinations(off, 2):
                 assert (tuple(sorted(z.indices)), pair) in seen
+
+
+def supports_by_subset_scan(A):
+    """Reference: minimal row-space supports by exhaustive subset elimination.
+
+    S qualifies iff the row space meets the coordinate subspace of S
+    nontrivially while every S minus one point meets it only in zero.
+    Exponential in s.
+    """
+    s = A.size
+    full = rank(list(A.rows))
+
+    @cache
+    def dim_within(subset):
+        outside = [i for i in range(s) if i not in subset]
+        return full - (rank([[row[i] for i in outside] for row in A.rows]) if outside else 0)
+
+    supports = []
+    for size in range(1, s + 1):
+        for cand in combinations(range(s), size):
+            fs = frozenset(cand)
+            if any(sup <= fs for sup in supports):
+                continue
+            if dim_within(fs) >= 1 and all(dim_within(fs - {i}) == 0 for i in fs):
+                supports.append(fs)
+    return tuple(sorted(supports, key=lambda f: (len(f), sorted(f))))
+
+
+class TestCocircuits:
+    def test_match_subset_scan(
+        self, five_point_config, intro_config, eight_point_config, grid_config
+    ):
+        mats = [
+            coefficient_matrix(cfg, p, q)
+            for cfg in (five_point_config, intro_config, eight_point_config, grid_config)
+            for p, q in [(1, 1), (Fraction(-1, 2), 5)]
+        ]
+        # block matrices at (1, 0): zero columns and parallel columns
+        mats += [coefficient_matrix_non_torus(cfg) for cfg in (intro_config, grid_config)]
+        for A in mats:
+            assert minimal_rowspace_supports(A) == supports_by_subset_scan(A)
+
+    def test_computed_once_per_matrix(self, intro_config):
+        A = coefficient_matrix(intro_config)
+        assert minimal_rowspace_supports(A) is minimal_rowspace_supports(A)
+
+    def test_rank_below_three_raises(self, five_point_config):
+        rows = coefficient_matrix(five_point_config).rows
+        zero = tuple(Fraction(0) for _ in rows[0])
+        for low in [(rows[0], rows[1], rows[0]), (rows[0], zero, zero)]:
+            A = CoefficientMatrix(low, five_point_config, (1, 1))
+            with pytest.raises(TropsingError):
+                minimal_rowspace_supports(A)
+
+    def test_three_oracles_agree_on_5x5_grid(self):
+        cfg = PointConfiguration.from_polygon([(0, 0), (4, 0), (4, 4), (0, 4)])
+        A = coefficient_matrix(cfg)
+        B = gale_dual(A)
+        rnd = random.Random(5)
+        seen = set()
+        for _ in range(60):
+            w = [rnd.randint(0, 6) for _ in cfg.points]
+            member = bergman_member_circuit_oracle(A, w)
+            assert bergman_member_loopfree(B, w) == member
+            assert flag_from_weight(B, w).is_flag_of_flats == member
+            seen.add(member)
+        assert seen == {True, False}

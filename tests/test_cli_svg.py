@@ -150,15 +150,16 @@ class TestCli:
         assert out["error"]["type"] == "ParseError"
 
     @pytest.mark.parametrize(
-        "flag",
+        "flag",  # the job's flag entry: an explicit flag or an index into the flags
         [
-            [[99], [0, 1], [0, 1, 2], [0, 1, 2, 3, 4, 5]],
-            [[0.5], [0, 1], [0, 1, 2], [0, 1, 2, 3, 4, 5]],
-            [[True], [0, 1], [0, 1, 2], [0, 1, 2, 3, 4, 5]],
+            {"flag": [[99], [0, 1], [0, 1, 2], [0, 1, 2, 3, 4, 5]]},
+            {"flag": [[0.5], [0, 1], [0, 1, 2], [0, 1, 2, 3, 4, 5]]},
+            {"flag": [[True], [0, 1], [0, 1, 2], [0, 1, 2, 3, 4, 5]]},
+            {"flag_index": True},
         ],
     )
     def test_lift_bad_flag_index_exits_2(self, tmp_path, capsys, flag):
-        job = {"points": [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [0, 2]], "flag": flag}
+        job = {"points": [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [0, 2]], **flag}
         code, out = run_job(tmp_path, capsys, "lift", job)
         assert code == 2
         assert out["error"]["type"] == "ParseError"
@@ -217,6 +218,10 @@ class TestCli:
         code, out = run_job(tmp_path, capsys, "subdivide", job)
         assert code == 0
         assert out["config"]["saturated"] is False
+        job["relaxed"] = "false"  # only a JSON boolean is a switch
+        code, out = run_job(tmp_path, capsys, "subdivide", job)
+        assert code == 2
+        assert out["error"]["type"] == "ParseError"
 
     def test_heights_length_mismatch_is_parse_error(self, tmp_path, capsys):
         job = {"points": [[0, 0], [1, 0], [0, 1]], "heights": ["0", "0"]}

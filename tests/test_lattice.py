@@ -11,6 +11,7 @@ from tropsing import (
     LatticeSaturationError,
     PointConfiguration,
     affine_relation_space,
+    circuit_of,
     circuits,
 )
 from tropsing.lattice import convex_hull, lattice_points_in_polygon, orient
@@ -202,6 +203,24 @@ class TestCircuits:
                 assert len(z.indices) == 4
                 hull = convex_hull([grid_config.points[i] for i in z.indices])
                 assert len(hull) == (4 if z.kind == "B" else 3)
+
+    def test_circuit_of_matches_enumeration(self, eight_point_config, grid_config):
+        for cfg in (eight_point_config, grid_config):
+            known = {z.indices: z for z in circuits(cfg)}
+            for size in (3, 4):
+                for idx in combinations(range(cfg.size), size):
+                    if idx in known:
+                        assert circuit_of(cfg, idx[::-1]) == known[idx]
+                    else:
+                        with pytest.raises(ConfigurationError):
+                            circuit_of(cfg, idx)
+
+    @pytest.mark.parametrize(
+        "indices", [(0, 1), (0, 1, 2, 3, 4), (0, 0, 1), (0, 1, 2, 2), (0, 1, 9), (-1, 0, 1)]
+    )
+    def test_circuit_of_rejects_bad_indices(self, grid_config, indices):
+        with pytest.raises(ConfigurationError):
+            circuit_of(grid_config, indices)
 
 
 def test_lattice_point_scan_matches_pick():
