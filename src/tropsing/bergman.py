@@ -4,9 +4,11 @@ The curves through a fixed torus point with vanishing first derivatives form
 the kernel of a 3 x s matrix A.  Its tropicalization only depends on the
 matroid of the columns of a Gale dual B of A, and its maximal cones are the
 weight classes of complete flags of flats of that matroid.  Everything here
-is exact.  The cocircuits of A's column matroid are read off its 3 x 3
-minors; closures, flats and loop-free membership use Gaussian elimination
-over the columns of B.
+is exact.  A's column matroid is read off its vanishing 3 x 3 minors, once
+per matrix: its flats of rank below 3 and its cocircuits.  B's matroid is the
+dual, so closures, flats and flags follow from A's rank function without
+any elimination; only loop-free membership sweeps an incremental span of
+B's columns, which keeps it an independent route.
 """
 
 from dataclasses import dataclass
@@ -44,26 +46,69 @@ class CoefficientMatrix:
         return tuple(row[i] for row in self.rows)
 
     @cached_property
-    def cocircuits(self):
-        """Complements of the column matroid's hyperplanes, by size, then indices.
+    def minor_zero_pattern(self):
+        """Index triples whose 3 x 3 minor vanishes: the matroid of the columns."""
+        cols = [self.column(i) for i in range(self.size)]
+        return frozenset(
+            t for t in combinations(range(self.size), 3) if minor(*(cols[i] for i in t)) == 0
+        )
 
-        Two non-parallel columns i, j span the hyperplane of every column k
-        with minor(a_i, a_j, a_k) = 0, and each hyperplane is found from its
-        first such pair.
+    @cached_property
+    def flats_by_rank(self):
+        """Flats of rank 0, 1 and 2 of the column matroid, as bitmasks.
+
+        Read off `minor_zero_pattern`.  The columns i, j with a nonvanishing
+        minor (i, j, k) are independent and span the hyperplane of every k
+        without one.  A column in no nonvanishing minor is zero, the only
+        flat of rank 0; two nonzero columns in none together are parallel.
         """
         s = self.size
-        cols = [self.column(i) for i in range(s)]
-        found, covered = set(), set()
-        for i, j in combinations(range(s), 2):
-            if (i, j) in covered:
-                continue
-            plane = [k for k in range(s) if minor(cols[i], cols[j], cols[k]) == 0]
-            if len(plane) < s:  # all minors vanish when a_i, a_j are parallel
-                covered.update(combinations(plane, 2))
-                found.add(frozenset(range(s)).difference(plane))
-        if not found:
+        completions = {}  # independent pair -> the columns completing it to a basis
+        for t in combinations(range(s), 3):
+            if t not in self.minor_zero_pattern:
+                i, j, k = t
+                for pair, c in (((i, j), k), ((i, k), j), ((j, k), i)):
+                    completions[pair] = completions.get(pair, 0) | 1 << c
+        if not completions:
             raise TropsingError("coefficient matrix has rank < 3")
+        full = (1 << s) - 1
+        nonzero = sorted({i for pair in completions for i in pair})
+        loops = full & ~bit_mask(nonzero, s)
+        lines = set()
+        for i in nonzero:
+            parallel = (j for j in nonzero if (min(i, j), max(i, j)) not in completions)
+            lines.add(loops | bit_mask(parallel, s))
+        planes = {full & ~c for c in completions.values()}
+        return (loops,), tuple(sorted(lines)), tuple(sorted(planes))
+
+    @cached_property
+    def cocircuits(self):
+        """Complements of the column matroid's hyperplanes, by size, then indices."""
+        full = (1 << self.size) - 1
+        found = (frozenset(bit_indices(full & ~h)) for h in self.flats_by_rank[2])
         return tuple(sorted(found, key=lambda f: (len(f), sorted(f))))
+
+    def rank_of(self, mask) -> int:
+        """Rank of the column set `mask` (a bitmask): the least rank of a flat over it."""
+        for r, flats in enumerate(self.flats_by_rank):
+            if any(not mask & ~f for f in flats):
+                return r
+        return 3
+
+
+def bit_indices(mask):
+    """Sorted indices of the set bits of a nonnegative integer."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def bit_mask(indices, size) -> int:
+    """Integer with exactly the bits at the given indices in range(size) set."""
+    mask = 0
+    for i in indices:
+        if not 0 <= i < size:
+            raise ConfigurationError(f"column index {i} out of range for {size} columns")
+        mask |= 1 << i
+    return mask
 
 
 def minor(u, v, w):
@@ -139,6 +184,9 @@ def gale_dual(A: CoefficientMatrix, pivots=None) -> GaleDual:
             raise DependentPivotsError("matrix has rank < 3")
     else:
         pivots = tuple(int(i) for i in pivots)
+        for i in pivots:
+            if not 0 <= i < s:
+                raise ConfigurationError(f"pivot index {i} out of range for {s} columns")
         if len(set(pivots)) != 3:
             raise DependentPivotsError("need three distinct pivot indices")
         if minor(*(A.column(i) for i in pivots)) == 0:
@@ -174,16 +222,33 @@ def gale_dual(A: CoefficientMatrix, pivots=None) -> GaleDual:
     return gd
 
 
+def closure_mask(A: CoefficientMatrix, mask) -> int:
+    """Closure, in the matroid of A's Gale dual, of the column set `mask`.
+
+    That matroid is the dual of A's, with rank r_B(S) = |S| + r_A(E - S) - 3.
+    So e outside S lies in cl_B(S) iff r_A(T - e) < r_A(T) for T = E - S,
+    that is iff T - e lies in a flat of A of rank r_A(T) - 1.
+    """
+    rest = ((1 << A.size) - 1) & ~mask
+    r = A.rank_of(rest)
+    if r == 0:
+        return mask
+    for flat in A.flats_by_rank[r - 1]:
+        left = rest & ~flat
+        if not left & (left - 1):  # a single column
+            mask |= left
+    return mask
+
+
 def matroid_closure(B: GaleDual, subset):
-    span = linalg.IncrementalSpan()
-    for i in subset:
-        span.add(B.column(i))
-    return tuple(i for i in range(B.size) if span.contains(B.column(i)))
+    """Sorted indices of the closure of `subset` in the column matroid of B."""
+    return bit_indices(closure_mask(B.coefficient, bit_mask(subset, B.size)))
 
 
 def is_flat(B: GaleDual, subset) -> bool:
     """True iff the span of the chosen columns contains no further column."""
-    return matroid_closure(B, subset) == tuple(sorted(set(subset)))
+    mask = bit_mask(subset, B.size)
+    return closure_mask(B.coefficient, mask) == mask
 
 
 @dataclass(frozen=True)
@@ -227,36 +292,32 @@ class WeightClass:
 def enumerate_flags(B: GaleDual, limit=None):
     """All complete flags of flats of the column matroid of B.
 
-    Depth-first extension by rank, with the covers of each flat computed only
-    once (many chains meet in the same flat).  Output canonically sorted.
+    Depth-first extension by rank over bitmasks of columns, with the covers
+    of each flat computed only once (many chains meet in the same flat).
+    An explicit stack rather than a recursive closure, so nothing outlives
+    the call waiting for the cycle collector.  Output canonically sorted.
     Guarded by the enumeration limit (default 12).
     """
     s = B.size
     if s > (DEFAULT_LIMIT if limit is None else int(limit)):
         raise TooLargeError(f"flag enumeration disabled for s={s}; raise the limit")
+    A = B.coefficient
+    full = (1 << s) - 1
     top_rank = len(B.matrix)
     results = []
-    cover_cache = {}
-
-    def covers(flat):
-        if flat not in cover_cache:
-            out = set()
-            fs = set(flat)
-            for e in range(s):
-                if e not in fs:
-                    out.add(matroid_closure(B, list(flat) + [e]))
-            cover_cache[flat] = sorted(out)
-        return cover_cache[flat]
-
-    def extend(chain, current, crank):
-        if crank == top_rank:
-            if current == tuple(range(s)):
-                results.append(FlagOfFlats(tuple(chain)))
-            return
-        for nxt in covers(current):
-            extend(chain + [nxt], nxt, crank + 1)
-
-    extend([], (), 0)
+    covers = {}  # flat mask -> its covers, as (mask, sorted indices) pairs
+    stack = [((), 0)]
+    while stack:
+        chain, current = stack.pop()
+        if len(chain) == top_rank:
+            if current == full:
+                results.append(FlagOfFlats(chain))
+            continue
+        if current not in covers:
+            masks = {closure_mask(A, current | 1 << e) for e in range(s) if not current >> e & 1}
+            covers[current] = [(m, bit_indices(m)) for m in masks]
+        for mask, flat in covers[current]:
+            stack.append((chain + (flat,), mask))
     return tuple(sorted(results, key=lambda f: f.flats))
 
 
@@ -399,9 +460,5 @@ def bergman_member_circuit_oracle(A: CoefficientMatrix, w) -> bool:
 
 
 def minor_zero_pattern(A: CoefficientMatrix):
-    """Which 3x3 minors vanish; this is the matroid fingerprint of A."""
-    return frozenset(
-        trip
-        for trip in combinations(range(A.size), 3)
-        if minor(*(A.column(i) for i in trip)) == 0
-    )
+    """Which 3x3 minors vanish; this is the matroid fingerprint of A, kept on A."""
+    return A.minor_zero_pattern

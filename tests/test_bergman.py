@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from tropsing import (
+    ConfigurationError,
     DependentPivotsError,
     MalformedFlagError,
     PointConfiguration,
@@ -25,10 +27,12 @@ from tropsing import (
 from tropsing.bergman import (
     CoefficientMatrix,
     FlagOfFlats,
+    bit_mask,
+    matroid_closure,
     minimal_rowspace_supports,
     minor_zero_pattern,
 )
-from tropsing import linalg
+from tropsing import bergman, linalg
 from tropsing.linalg import rank
 from tropsing.singular import coefficient_matrix_non_torus
 
@@ -46,6 +50,58 @@ GOLDEN_B_8PT = [
     [2, -1, -2, 0, 0, 0, 1, 0],
     [3, -2, -2, 0, 0, 0, 0, 1],
 ]
+
+
+@pytest.fixture
+def matroid_matrices(five_point_config, intro_config, eight_point_config, grid_config):
+    """The benchmark's five matroids, plus the intro matrix at (p, q) = (2, 3).
+
+    The boundary block matrix of the criterion-9 configuration has zero
+    columns, which are coloops of its Gale dual.
+    """
+    boundary = PointConfiguration.from_polygon([(0, 0), (3, 0), (3, 1), (0, 2)])
+    return {
+        "five_point": coefficient_matrix(five_point_config),
+        "intro": coefficient_matrix(intro_config),
+        "eight_point": coefficient_matrix(eight_point_config),
+        "grid": coefficient_matrix(grid_config),
+        "boundary_block": coefficient_matrix_non_torus(boundary),
+        "intro_2_3": coefficient_matrix(intro_config, 2, 3),
+    }
+
+
+def subsets(s):
+    for size in range(s + 1):
+        yield from combinations(range(s), size)
+
+
+def span_closure(B, subset):
+    """Reference: closure by Gaussian elimination over the columns of B."""
+    span = linalg.IncrementalSpan()
+    for i in subset:
+        span.add(B.column(i))
+    return tuple(i for i in range(B.size) if span.contains(B.column(i)))
+
+
+def flags_by_span_closure(B):
+    """Reference: depth-first complete flags, each cover a span closure."""
+    s, top = B.size, len(B.matrix)
+    chains = []
+
+    @cache
+    def covers(flat):
+        return sorted({span_closure(B, flat + (e,)) for e in range(s) if e not in flat})
+
+    def extend(chain, current):
+        if len(chain) == top:
+            if current == tuple(range(s)):
+                chains.append(tuple(chain))
+            return
+        for nxt in covers(current):
+            extend(chain + [nxt], nxt)
+
+    extend([], ())
+    return sorted(chains)
 
 
 class TestCoefficientMatrix:
@@ -121,6 +177,11 @@ class TestGaleDual:
         with pytest.raises(TropsingError):
             gale_dual(coefficient_matrix(intro_config), (0, 1, 3))
 
+    @pytest.mark.parametrize("bad", [99, 6, -1])
+    def test_pivot_out_of_range_rejected(self, intro_config, bad):
+        with pytest.raises(ConfigurationError, match=f"pivot index {bad} "):
+            gale_dual(coefficient_matrix(intro_config), (0, 1, bad))
+
     def test_matroid_independent_of_pivots(self, eight_point_config):
         A = coefficient_matrix(eight_point_config)
         B1 = gale_dual(A, (0, 1, 2))
@@ -160,6 +221,35 @@ class TestFlats:
                     if k not in sub
                 ) if sub else all(any(c != 0 for c in B.column(k)) for k in range(5))
                 assert is_flat(B, sub) == expected
+
+    @pytest.mark.parametrize("sub", [[8], [-1], [0, 3, 99]])
+    def test_column_out_of_range_rejected(self, eight_point_config, sub):
+        B = gale_dual(coefficient_matrix(eight_point_config))
+        with pytest.raises(ConfigurationError, match=f"column index {sub[-1]} "):
+            is_flat(B, sub)
+        with pytest.raises(ConfigurationError):
+            matroid_closure(B, sub)
+
+    def test_rank_matches_elimination(self, matroid_matrices):
+        for name, A in matroid_matrices.items():
+            for sub in subsets(A.size):
+                cols = [A.column(i) for i in sub]
+                assert A.rank_of(bit_mask(sub, A.size)) == (rank(cols) if cols else 0), (name, sub)
+
+    def test_closure_matches_span_closure(self, matroid_matrices):
+        for name, A in matroid_matrices.items():
+            B = gale_dual(A)
+            for sub in subsets(A.size):
+                expected = span_closure(B, sub)
+                assert matroid_closure(B, sub) == expected, (name, sub)
+                assert is_flat(B, sub) == (expected == sub), (name, sub)
+
+    @pytest.mark.parametrize("name,count", [("eight_point", 1380), ("boundary_block", 2880)])
+    def test_flags_match_span_closure_flags(self, matroid_matrices, name, count):
+        B = gale_dual(matroid_matrices[name])
+        flags = [f.flats for f in enumerate_flags(B)]
+        assert len(flags) == count
+        assert flags == flags_by_span_closure(B)
 
 
 def flats_by_bruteforce(B):
@@ -338,6 +428,29 @@ class TestMembership:
                 m3 = flag_from_weight(B, w).is_flag_of_flats
                 assert m1 == m2 == m3
 
+    @pytest.mark.parametrize("name", ["boundary_block", "intro_2_3"])
+    def test_triple_agreement_off_unit_torus_point(self, matroid_matrices, name):
+        A = matroid_matrices[name]
+        B = gale_dual(A)
+        rnd = random.Random(name)
+        vectors = [
+            [Fraction(rnd.randint(-12, 12), rnd.randint(1, 5)) for _ in range(A.size)]
+            for _ in range(300)
+        ]
+        flags = enumerate_flags(B)
+        for flag in rnd.sample(flags, min(len(flags), 150)):
+            gaps = [Fraction(rnd.randint(1, 6), rnd.randint(1, 3)) for _ in flag.blocks]
+            shift = Fraction(rnd.randint(-6, 6), rnd.randint(1, 4))
+            vectors.append([x + shift for x in weight_class_sample(flag, gaps)])
+        seen = set()
+        for w in vectors:
+            m1 = bergman_member_loopfree(B, w)
+            m2 = bergman_member_circuit_oracle(A, w)
+            m3 = flag_from_weight(B, w).is_flag_of_flats
+            assert m1 == m2 == m3, w
+            seen.add(m1)
+        assert seen == {True, False}
+
 
 class TestReversedExistence:
     def test_every_circuit_tops_some_flag(self, eight_point_config):
@@ -417,6 +530,22 @@ class TestCocircuits:
     def test_computed_once_per_matrix(self, intro_config):
         A = coefficient_matrix(intro_config)
         assert minimal_rowspace_supports(A) is minimal_rowspace_supports(A)
+
+    def test_minor_table_computed_once_per_matrix(self, intro_config):
+        A = coefficient_matrix(intro_config)
+        assert minor_zero_pattern(A) is minor_zero_pattern(A)
+        assert minor_zero_pattern(A) is not minor_zero_pattern(coefficient_matrix(intro_config))
+
+    def test_one_minor_per_triple(self, eight_point_config, monkeypatch):
+        # cocircuits, closures, flags and the flat test all read the one table
+        A = coefficient_matrix(eight_point_config)
+        B = gale_dual(A)
+        real, calls = bergman.minor, []
+        monkeypatch.setattr(bergman, "minor", lambda *cols: calls.append(cols) or real(*cols))
+        minimal_rowspace_supports(A)
+        flags = enumerate_flags(B)
+        assert flag_from_weight(B, weight_class_sample(flags[0])).is_flag_of_flats
+        assert len(calls) == comb(8, 3)
 
     def test_rank_below_three_raises(self, five_point_config):
         rows = coefficient_matrix(five_point_config).rows

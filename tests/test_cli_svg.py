@@ -170,6 +170,14 @@ class TestCli:
         assert code == 0
         assert out["pivots"] == [0, 1, 3]
 
+    @pytest.mark.parametrize("pivots,bad", [("0,1,99", "99"), ("0,1,-1", "-1")])
+    def test_pivot_out_of_range_exits_1(self, tmp_path, capsys, pivots, bad):
+        job = {"points": INTRO_JOB["points"]}
+        code, out = run_job(tmp_path, capsys, "flags", job, "--pivots", pivots)
+        assert code == 1
+        assert out["error"]["type"] == "ConfigurationError"
+        assert f"pivot index {bad} " in out["error"]["message"]
+
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "job.json"
         path.write_text(json.dumps(INTRO_JOB))
