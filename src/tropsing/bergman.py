@@ -43,14 +43,14 @@ class CoefficientMatrix:
         return len(self.rows[0])
 
     def column(self, i):
-        return tuple(row[i] for row in self.rows)
+        return tuple([row[i] for row in self.rows])
 
     @cached_property
     def minor_zero_pattern(self):
         """Index triples whose 3 x 3 minor vanishes: the matroid of the columns."""
         cols = [self.column(i) for i in range(self.size)]
         return frozenset(
-            t for t in combinations(range(self.size), 3) if minor(*(cols[i] for i in t)) == 0
+            t for t in combinations(range(self.size), 3) if minor(*[cols[i] for i in t]) == 0
         )
 
     @cached_property
@@ -98,7 +98,7 @@ class CoefficientMatrix:
 
 def bit_indices(mask):
     """Sorted indices of the set bits of a nonnegative integer."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    return tuple([i for i in range(mask.bit_length()) if mask >> i & 1])
 
 
 def bit_mask(indices, size) -> int:
@@ -136,7 +136,7 @@ def coefficient_matrix(config, p=1, q=1) -> CoefficientMatrix:
         rows[0].append(scale)
         rows[1].append(scale * i)
         rows[2].append(scale * j)
-    return CoefficientMatrix(tuple(tuple(r) for r in rows), config, (p, q))
+    return CoefficientMatrix(tuple([tuple(r) for r in rows]), config, (p, q))
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ class GaleDual:
         return self.coefficient.size
 
     def column(self, i):
-        return tuple(row[i] for row in self.matrix)
+        return tuple([row[i] for row in self.matrix])
 
     def column_order(self):
         rest = [i for i in range(self.size) if i not in self.pivots]
@@ -165,7 +165,7 @@ class GaleDual:
 
     def pivots_first(self):
         order = self.column_order()
-        return tuple(tuple(row[i] for i in order) for row in self.matrix)
+        return tuple([tuple([row[i] for i in order]) for row in self.matrix])
 
 
 def gale_dual(A: CoefficientMatrix, pivots=None) -> GaleDual:
@@ -177,19 +177,19 @@ def gale_dual(A: CoefficientMatrix, pivots=None) -> GaleDual:
     s = A.size
     if pivots is None:
         for cand in combinations(range(s), 3):
-            if minor(*(A.column(i) for i in cand)) != 0:
+            if minor(*[A.column(i) for i in cand]) != 0:
                 pivots = cand
                 break
         if pivots is None:
             raise DependentPivotsError("matrix has rank < 3")
     else:
-        pivots = tuple(int(i) for i in pivots)
+        pivots = tuple([int(i) for i in pivots])
         for i in pivots:
             if not 0 <= i < s:
                 raise ConfigurationError(f"pivot index {i} out of range for {s} columns")
         if len(set(pivots)) != 3:
             raise DependentPivotsError("need three distinct pivot indices")
-        if minor(*(A.column(i) for i in pivots)) == 0:
+        if minor(*[A.column(i) for i in pivots]) == 0:
             raise DependentPivotsError(f"pivot columns {pivots} are dependent")
     rest = [i for i in range(s) if i not in pivots]
     order = list(pivots) + rest
@@ -262,7 +262,7 @@ class FlagOfFlats:
         out = []
         prev = ()
         for f in self.flats:
-            out.append(tuple(i for i in f if i not in set(prev)))
+            out.append(tuple([i for i in f if i not in set(prev)]))
             prev = f
         return tuple(out)
 
@@ -381,9 +381,7 @@ def flag_from_weight(B: GaleDual, u) -> WeightFlagResult:
     if len(u) != B.size:
         raise ConfigurationError("weight vector length does not match the matrix")
     levels = sorted(set(u))
-    blocks = tuple(
-        tuple(i for i, x in enumerate(u) if x == lvl) for lvl in levels
-    )
+    blocks = tuple([tuple([i for i, x in enumerate(u) if x == lvl]) for lvl in levels])
     wc = WeightClass(blocks)
     chain = wc.flag_chain()
     ok = all(is_flat(B, f) for f in chain)

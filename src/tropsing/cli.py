@@ -51,7 +51,7 @@ def _job_heights(config, job):
         raw = job["coefficients"]
         if not isinstance(raw, list) or len(raw) != config.size:
             raise ParseError("'coefficients' must list one series per point")
-        coeffs = tuple(PuiseuxScalar.parse(c) for c in raw)
+        coeffs = tuple([PuiseuxScalar.parse(c) for c in raw])
         f = PuiseuxPolynomial(config, coeffs)
         return neg_val_vector(f), f
     return jsonio.heights_from_json(config, job), None
@@ -201,7 +201,7 @@ def _pivots(args):
     if not args.pivots:
         return None
     try:
-        parts = tuple(int(x) for x in args.pivots.split(","))
+        parts = tuple([int(x) for x in args.pivots.split(",")])
     except ValueError as exc:
         raise ParseError(f"bad --pivots value {args.pivots!r}") from exc
     if len(parts) != 3:

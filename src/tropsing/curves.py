@@ -22,9 +22,7 @@ from .lattice import (
 from .subdivisions import (
     MarkedSubdivision,
     SubdivisionType,
-    as_heights,
-    lifted_plane,
-    regular_subdivision,
+    _upper_faces,
     segment_owners,
 )
 
@@ -99,17 +97,16 @@ def _outward_normal(seg, polygon):
 def dual_curve(config, u) -> TropicalCurve:
     """Tropical curve dual to the regular subdivision of u.
 
-    The vertex dual to a cell is (-b, -c) for the plane z = a + b*x + c*y
-    its points are lifted onto; the first three vertices of a cell polygon
-    are never collinear, so they fix that plane.
+    The vertex dual to a cell is (nx/nz, ny/nz) for the normal (nx, ny, nz)
+    of the plane its points are lifted onto, i.e. (-b, -c) for that plane
+    written z = a + b*x + c*y; the faces scan hands over those normals.
     """
-    u = as_heights(config, u)
-    subdivision = regular_subdivision(config, u)
+    subdivision, normals = _upper_faces(config, u)
     cells = [cell.polygon for cell in subdivision.cells]
     vertices = []
-    for poly in cells:
-        _a, b, c = lifted_plane(config, u, [config.index(p) for p in poly[:3]])
-        vertices.append((-b, -c))
+    for cell in subdivision.cells:
+        nx, ny, nz = normals[cell.marked]
+        vertices.append((Fraction(nx, nz), Fraction(ny, nz)))
     edges = []
     rays = []
     for seg, owners in sorted(

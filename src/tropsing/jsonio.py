@@ -75,7 +75,7 @@ def heights_from_json(config, obj):
         raise ParseError("this command needs a 'heights' list")
     if not isinstance(raw, list) or len(raw) != config.size:
         raise ParseError(f"'heights' must list one rational per point ({config.size})")
-    return tuple(fraction_from_json(x) for x in raw)
+    return tuple([fraction_from_json(x) for x in raw])
 
 
 def heights_to_json(u):
@@ -98,7 +98,7 @@ def subdivision_to_json(ms: MarkedSubdivision) -> dict:
 def subdivision_from_json(config, obj) -> MarkedSubdivision:
     try:
         cells = [
-            (tuple(tuple(p) for p in cell["polygon"]), tuple(cell["marked"]))
+            (tuple([tuple(p) for p in cell["polygon"]]), tuple(cell["marked"]))
             for cell in obj["cells"]
         ]
     except (KeyError, TypeError) as exc:
@@ -144,7 +144,7 @@ def flag_from_json(obj) -> FlagOfFlats:
         isinstance(f, list) and all(is_int(i) for i in f) for f in obj
     ):
         raise ParseError("a flag must be a list of index lists")
-    return FlagOfFlats(tuple(tuple(sorted(f)) for f in obj))
+    return FlagOfFlats(tuple([tuple(sorted(f)) for f in obj]))
 
 
 def report_to_json(rep: SingularityReport) -> dict:

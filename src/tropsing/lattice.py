@@ -113,7 +113,7 @@ class PointConfiguration:
     """
 
     def __init__(self, points, *, require_saturated=True):
-        pts = [tuple(int(c) for c in p) for p in points]
+        pts = [tuple([int(c) for c in p]) for p in points]
         if len(set(pts)) != len(pts):
             raise ConfigurationError("points must be pairwise distinct")
         if len(pts) < 3:
@@ -151,14 +151,14 @@ class PointConfiguration:
         return self._index[tuple(p)]
 
     def x_vector(self):
-        return tuple(Fraction(p[0]) for p in self.points)
+        return tuple([Fraction(p[0]) for p in self.points])
 
     def y_vector(self):
-        return tuple(Fraction(p[1]) for p in self.points)
+        return tuple([Fraction(p[1]) for p in self.points])
 
     def boundary_indices(self):
         return tuple(
-            idx for idx, p in enumerate(self.points) if point_on_boundary(p, self.polygon)
+            [idx for idx, p in enumerate(self.points) if point_on_boundary(p, self.polygon)]
         )
 
     def __eq__(self, other):
@@ -183,7 +183,7 @@ class Circuit:
     kind: str
 
     def points(self, config):
-        return tuple(config.points[i] for i in self.indices)
+        return tuple([config.points[i] for i in self.indices])
 
 
 def circuit_kind(points):
@@ -211,7 +211,7 @@ def circuit_of(config, indices) -> Circuit:
     """Build (and validate) the circuit on the given configuration indices."""
     idx = tuple(sorted(indices))
     if len(set(idx)) == len(idx) and all(i in range(config.size) for i in idx):
-        idx = tuple(map(int, idx))
+        idx = tuple([int(i) for i in idx])
         kind = circuit_kind(config.points[i] for i in idx)
         if kind is not None:
             return Circuit(idx, kind)

@@ -70,13 +70,6 @@ def kernel_basis(rows, ncols):
     return basis
 
 
-def in_span(vectors, target) -> bool:
-    """Whether target lies in the linear span of the given vectors."""
-    vecs = [list(v) for v in vectors]
-    base = rank(vecs) if vecs else 0
-    return rank(vecs + [list(target)]) == base
-
-
 def same_span(vectors_a, vectors_b) -> bool:
     a = [list(v) for v in vectors_a]
     b = [list(v) for v in vectors_b]
@@ -107,12 +100,11 @@ class IncrementalSpan:
     """Maintains a reduced basis while columns get added one at a time."""
 
     def __init__(self):
-        self.rows = []  # reduced basis, each with a leading pivot
+        self.rows = []  # (leading index, reduced row with a 1 there)
 
     def _reduce(self, vec):
         v = [frac(x) for x in vec]
-        for row in self.rows:
-            lead = next(i for i, x in enumerate(row) if x != 0)
+        for lead, row in self.rows:
             if v[lead] != 0:
                 f = v[lead]
                 v = [a - f * b for a, b in zip(v, row)]
@@ -127,6 +119,6 @@ class IncrementalSpan:
         for i, x in enumerate(v):
             if x != 0:
                 inv = Fraction(1, 1) / x
-                self.rows.append(tuple(a * inv for a in v))
+                self.rows.append((i, tuple([a * inv for a in v])))
                 return True
         return False

@@ -30,7 +30,7 @@ class PuiseuxScalar:
         for q, c in pairs:
             q, c = Fraction(q), Fraction(c)
             acc[q] = acc.get(q, Fraction(0)) + c
-        terms = tuple((q, acc[q]) for q in sorted(acc) if acc[q] != 0)
+        terms = tuple([(q, acc[q]) for q in sorted(acc) if acc[q] != 0])
         return cls(terms)
 
     @classmethod
@@ -61,7 +61,7 @@ class PuiseuxScalar:
         return PuiseuxScalar.from_terms(list(self.terms) + list(other.terms))
 
     def __neg__(self):
-        return PuiseuxScalar(tuple((q, -c) for q, c in self.terms))
+        return PuiseuxScalar(tuple([(q, -c) for q, c in self.terms]))
 
     def __sub__(self, other):
         return self + (-other)
@@ -82,7 +82,7 @@ class PuiseuxScalar:
         c = Fraction(c)
         if c == 0:
             return PuiseuxScalar.zero()
-        return PuiseuxScalar(tuple((q, c0 * c) for q, c0 in self.terms))
+        return PuiseuxScalar(tuple([(q, c0 * c) for q, c0 in self.terms]))
 
     def eval_at(self, t):
         """Exact value at a rational t; exponents must be integers."""
@@ -177,7 +177,7 @@ class PuiseuxPolynomial:
 
     def support(self):
         return tuple(
-            p for p, c in zip(self.config.points, self.coefficients) if not c.is_zero()
+            [p for p, c in zip(self.config.points, self.coefficients) if not c.is_zero()]
         )
 
     def evaluate(self, x, y) -> PuiseuxScalar:
@@ -280,15 +280,16 @@ def sample_singular_lift(config, flag, exponents=None, seed=0, max_retries=32) -
         if len(lambdas) != k:
             raise ConfigurationError(f"need one exponent per kernel generator ({k})")
     target = tuple(
-        max(-lambdas[r] for r in range(k) if gd.matrix[r][i] != 0)
-        for i in range(config.size)
+        [max(-lambdas[r] for r in range(k) if gd.matrix[r][i] != 0) for i in range(config.size)]
     )
     rng = random.Random(seed)
     last = None
     for _attempt in range(max_retries):
         gammas = tuple(
-            Fraction(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 9))
-            for _ in range(k)
+            [
+                Fraction(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 9))
+                for _ in range(k)
+            ]
         )
         coeffs = []
         ok = True

@@ -434,7 +434,7 @@ def coefficient_matrix_non_torus(config) -> CoefficientMatrix:
         rows[1][k] = Fraction(pts[k][0])
     for k in second:
         rows[2][k] = Fraction(1)
-    return CoefficientMatrix(tuple(tuple(r) for r in rows), config, (Fraction(1), Fraction(0)))
+    return CoefficientMatrix(tuple([tuple(r) for r in rows]), config, (Fraction(1), Fraction(0)))
 
 
 def classify_non_torus(config, u) -> SingularityReport:

@@ -2,15 +2,19 @@
 
 A height vector lifts every configuration point into 3-space; projecting the
 upper faces of the lifted hull back down gives the regular marked subdivision.
-Since configurations are tiny, regular_subdivision finds the upper faces in
-one scan over the planes through point triples, with exact rational
-arithmetic throughout.  It is the only place the lifted hull is computed:
-the dual curve reads its vertices off the cells of that subdivision.
+Since configurations are tiny, the upper faces are found in one scan over
+the planes through point triples.  The heights are first scaled to integers
+by the lcm of their denominators, so each plane's normal and each side test
+are integer cross and dot products: exact, with no Fraction in the loop.
+That scan (_upper_faces) is the only place the lifted hull is computed;
+regular_subdivision returns its cells, and dual_curve reads each vertex off
+the normal the scan kept for its cell.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from . import linalg
 from .errors import (
@@ -35,7 +39,7 @@ from .lattice import (
 
 
 def as_heights(config, u):
-    heights = tuple(Fraction(x) for x in u)
+    heights = tuple([Fraction(x) for x in u])
     if len(heights) != config.size:
         raise ConfigurationError(
             f"height vector has length {len(heights)}, expected {config.size}"
@@ -110,7 +114,7 @@ class MarkedSubdivision:
                 raise SubdivisionError(f"segment {a}-{b} belongs to {len(owners)} cells")
 
     def type(self) -> SubdivisionType:
-        return SubdivisionType(tuple(c.polygon for c in self.cells))
+        return SubdivisionType(tuple([c.polygon for c in self.cells]))
 
     def marked_union(self):
         out = set()
@@ -121,7 +125,7 @@ class MarkedSubdivision:
     def white_points(self):
         """Configuration indices marked in no cell."""
         marked = set(self.marked_union())
-        return tuple(i for i in range(self.config.size) if i not in marked)
+        return tuple([i for i in range(self.config.size) if i not in marked])
 
     def __eq__(self, other):
         return (
@@ -159,32 +163,54 @@ def lifted_plane(config, u, trip):
     )
 
 
-def regular_subdivision(config, u) -> MarkedSubdivision:
-    """Marked subdivision induced by the heights u (upper, so larger wins).
+def _upper_faces(config, u):
+    """The regular subdivision of u and the lifted normal of each of its cells.
 
-    Every plane through the lifts of three non-collinear points that no
-    lifted point lies above is an upper face; its cell marks the points
-    lifted onto it.
+    The heights are scaled by the lcm of their denominators, so the normal
+    (nx, ny, nz) of the plane through three lifted points is an integer
+    cross product, oriented with nz > 0, and a point lies above that plane
+    exactly when its dot product with the normal is larger.  A plane that
+    no lifted point lies above is an upper face; its cell marks the points
+    lifted onto it.  Returns (subdivision, normals), where normals maps each
+    cell's marked indices to (nx, ny, nz * den), a normal of its plane in
+    the unscaled (x, y, u) coordinates.
     """
     u = as_heights(config, u)
-    pts = config.points
-    faces = set()
-    for trip in combinations(range(config.size), 3):
-        if orient(*(pts[i] for i in trip)) == 0:
+    den = lcm(*[h.denominator for h in u])
+    lifted = [(x, y, h.numerator * (den // h.denominator)) for (x, y), h in zip(config.points, u)]
+    normals = {}
+    for i, j, k in combinations(range(config.size), 3):
+        xi, yi, hi = lifted[i]
+        xj, yj, hj = lifted[j]
+        xk, yk, hk = lifted[k]
+        ax, ay, ah = xj - xi, yj - yi, hj - hi
+        bx, by, bh = xk - xi, yk - yi, hk - hi
+        nz = ax * by - ay * bx
+        if nz == 0:
             continue
-        a, b, c = lifted_plane(config, u, trip)
+        nx = ay * bh - ah * by
+        ny = ah * bx - ax * bh
+        if nz < 0:
+            nx, ny, nz = -nx, -ny, -nz
+        top = nx * xi + ny * yi + nz * hi
         face = []
-        for i, (x, y) in enumerate(pts):
-            val = a + b * x + c * y
-            if u[i] > val:
+        for m, (x, y, h) in enumerate(lifted):
+            side = nx * x + ny * y + nz * h
+            if side > top:
                 break
-            if u[i] == val:
-                face.append(i)
+            if side == top:
+                face.append(m)
         else:
-            faces.add(tuple(face))
+            normals.setdefault(tuple(face), (nx, ny, nz * den))
     # the constructor takes each cell's polygon as the hull of its points
-    cells = [([pts[i] for i in face], face) for face in faces]
-    return MarkedSubdivision(config, cells, validate=False)
+    pts = config.points
+    cells = [([pts[i] for i in face], face) for face in normals]
+    return MarkedSubdivision(config, cells, validate=False), normals
+
+
+def regular_subdivision(config, u) -> MarkedSubdivision:
+    """Marked subdivision induced by the heights u (upper, so larger wins)."""
+    return _upper_faces(config, u)[0]
 
 
 @dataclass(frozen=True)
@@ -200,7 +226,7 @@ def cone_info(ms: MarkedSubdivision) -> ConeInfo:
     for cell in ms.cells:
         stacked.extend(affine_relation_space(ms.config, cell.marked))
     basis = [list(v) for v in linalg.rref(stacked)[0]] if stacked else []
-    basis = tuple(tuple(row) for row in basis)
+    basis = tuple([tuple(row) for row in basis])
     return ConeInfo(len(basis), ms.white_points(), basis)
 
 
@@ -263,7 +289,7 @@ def split_weightclass_lineality(config, u, z: Circuit):
         for i in rest:
             if u[i] != a + b * pts[i][0] + c * pts[i][1]:
                 raise ConfigurationError("circuit heights are not coplanar")
-        u_wc = tuple(u[i] - b * pts[i][0] - c * pts[i][1] for i in range(config.size))
+        u_wc = tuple([u[i] - b * pts[i][0] - c * pts[i][1] for i in range(config.size)])
         return u_wc, b, c, Fraction(0)
 
     # Collinear circuit: equalize along the line, then rotate across it.
@@ -348,7 +374,7 @@ def split_weightclass_lineality(config, u, z: Circuit):
     # rotated heights are up + rot*level, i.e. u minus (cx, cy) dotted below
     cx -= rot * n[0]
     cy -= rot * n[1]
-    u_wc = tuple(u[i] - cx * pts[i][0] - cy * pts[i][1] for i in range(config.size))
+    u_wc = tuple([u[i] - cx * pts[i][0] - cy * pts[i][1] for i in range(config.size)])
     return u_wc, cx, cy, Fraction(0)
 
 
@@ -358,7 +384,7 @@ def codim1_circuit(ms: MarkedSubdivision) -> Circuit:
     if info.codimension != 1:
         raise WrongCodimensionError(f"expected codimension 1, got {info.codimension}")
     relation = info.lt_basis[0]
-    support = tuple(i for i, x in enumerate(relation) if x != 0)
+    support = tuple([i for i, x in enumerate(relation) if x != 0])
     kind = circuit_kind(ms.config.points[i] for i in support)
     if kind is None:
         raise SubdivisionError(f"relation support {support} is not a circuit")

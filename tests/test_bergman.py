@@ -75,6 +75,13 @@ def subsets(s):
         yield from combinations(range(s), size)
 
 
+def in_span(vectors, target) -> bool:
+    """Reference: whether target lies in the linear span of the given vectors."""
+    vecs = [list(v) for v in vectors]
+    base = rank(vecs) if vecs else 0
+    return rank(vecs + [list(target)]) == base
+
+
 def span_closure(B, subset):
     """Reference: closure by Gaussian elimination over the columns of B."""
     span = linalg.IncrementalSpan()
@@ -211,8 +218,6 @@ class TestFlats:
 
     def test_matches_definition_by_spans(self, five_point_config):
         B = gale_dual(coefficient_matrix(five_point_config))
-        from tropsing.linalg import in_span
-
         for size in range(0, 6):
             for sub in combinations(range(5), size):
                 expected = all(
@@ -254,8 +259,6 @@ class TestFlats:
 
 def flats_by_bruteforce(B):
     """Oracle: every subset closed under column span, grouped by rank."""
-    from tropsing.linalg import in_span
-
     s = B.size
     flats = {}
     for size in range(s + 1):

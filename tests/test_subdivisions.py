@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tropsing import (
     ConfigurationError,
@@ -13,14 +16,16 @@ from tropsing import (
     circuit_of,
     cone_info,
     decompose_weightclass_lineality,
+    dual_curve,
     is_discriminant_cone,
     lineality_basis,
     regular_subdivision,
 )
 from tropsing.bergman import coefficient_matrix, flag_from_weight, gale_dual
-from tropsing.lattice import polygon_area2
+from tropsing.curves import is_balanced
+from tropsing.lattice import convex_hull, orient, polygon_area2
 from tropsing.linalg import same_span
-from tropsing.subdivisions import codim1_circuit
+from tropsing.subdivisions import _upper_faces, as_heights, codim1_circuit, lifted_plane
 
 
 def cell_lookup(ms):
@@ -69,6 +74,106 @@ class TestRegularSubdivision:
     def test_heights_length_checked(self, square_config):
         with pytest.raises(ConfigurationError):
             regular_subdivision(square_config, (0, 0, 0))
+
+
+def faces_by_fraction_scan(config, u):
+    """Reference upper faces: one Fraction plane per point triple.
+
+    Maps each upper face (its marked indices) to the plane (a, b, c) with
+    z = a + b*x + c*y through the first point triple that found it.
+    """
+    u = as_heights(config, u)
+    pts = config.points
+    faces = {}
+    for trip in combinations(range(config.size), 3):
+        if orient(*[pts[i] for i in trip]) == 0:
+            continue
+        a, b, c = lifted_plane(config, u, trip)
+        face = []
+        for i, (x, y) in enumerate(pts):
+            val = a + b * x + c * y
+            if u[i] > val:
+                break
+            if u[i] == val:
+                face.append(i)
+        else:
+            faces.setdefault(tuple(face), (a, b, c))
+    return faces
+
+
+def check_kernel_against_reference(config, u):
+    """Faces, normals and dual-curve vertices agree with the Fraction planes."""
+    ms, normals = _upper_faces(config, u)
+    reference = faces_by_fraction_scan(config, u)
+    assert set(normals) == set(reference)
+    assert sorted(c.marked for c in ms.cells) == sorted(reference)
+    for marked, (nx, ny, nz) in normals.items():
+        assert nz > 0
+        _a, b, c = reference[marked]
+        assert (Fraction(nx, nz), Fraction(ny, nz)) == (-b, -c)
+    curve = dual_curve(config, u)
+    assert curve.subdivision == ms
+    heights = as_heights(config, u)
+    for cell, vertex in zip(ms.cells, curve.vertices):
+        _a, b, c = lifted_plane(config, heights, [config.index(p) for p in cell.polygon[:3]])
+        assert vertex == (-b, -c)
+    return ms, curve
+
+
+LADDER = {
+    "unit_triangle": [(0, 0), (1, 0), (0, 1)],
+    "five_point": [(0, 0), (1, 0), (1, 2), (0, 1)],
+    "intro": [(0, 0), (2, 0), (1, 2), (0, 1)],
+    "eight_point": [(0, 0), (1, 0), (2, 1), (2, 2), (0, 2)],
+    "grid_2": [(0, 0), (2, 0), (2, 2), (0, 2)],
+    "grid_3": [(0, 0), (3, 0), (3, 3), (0, 3)],
+    "grid_4": [(0, 0), (4, 0), (4, 4), (0, 4)],
+}
+LARGE_PRIMES = (999983, 1000003, 1000033, 1000037, 1000039, 1000081)
+HEIGHTS = {
+    "tied": lambda rnd: Fraction(rnd.choice((-1, 0, 1))),
+    "negative": lambda rnd: Fraction(-rnd.randint(1, 60), rnd.randint(1, 7)),
+    "coprime_denominators": lambda rnd: Fraction(
+        rnd.randint(-(10**6), 10**6), rnd.choice(LARGE_PRIMES)
+    ),
+}
+
+
+class TestIntegerKernel:
+    @pytest.mark.parametrize("family", sorted(HEIGHTS))
+    @pytest.mark.parametrize("name", list(LADDER))
+    def test_matches_fraction_scan_on_ladder(self, name, family):
+        config = PointConfiguration.from_polygon(LADDER[name])
+        rnd = random.Random(f"{name}/{family}")
+        # the reference scan is O(s^4) Fractions: fewer vectors on the 4x4 grid
+        for _ in range(2 if config.size > 16 else 6):
+            u = [HEIGHTS[family](rnd) for _ in config.points]
+            check_kernel_against_reference(config, u)
+
+    def test_constant_heights_give_one_cell(self, grid_config):
+        ms, curve = check_kernel_against_reference(grid_config, [Fraction(-3, 7)] * 9)
+        assert [c.marked for c in ms.cells] == [tuple(range(9))]
+        assert curve.vertices == ((0, 0),)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_random_polygons_and_heights(self, data):
+        pts = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=3, max_size=6, unique=True
+            )
+        )
+        hull = convex_hull(pts)
+        assume(len(hull) >= 3 and polygon_area2(hull) > 0)
+        config = PointConfiguration.from_polygon(hull)
+        height = st.one_of(
+            st.integers(-1, 1).map(Fraction),
+            st.fractions(min_value=-12, max_value=12, max_denominator=9),
+        )
+        u = data.draw(st.lists(height, min_size=config.size, max_size=config.size))
+        ms, curve = check_kernel_against_reference(config, u)
+        assert sum(polygon_area2(c.polygon) for c in ms.cells) == polygon_area2(config.polygon)
+        assert is_balanced(curve)
 
 
 class TestMarkedSubdivisionValidation:
