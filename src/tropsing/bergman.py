@@ -240,11 +240,6 @@ def closure_mask(A: CoefficientMatrix, mask) -> int:
     return mask
 
 
-def matroid_closure(B: GaleDual, subset):
-    """Sorted indices of the closure of `subset` in the column matroid of B."""
-    return bit_indices(closure_mask(B.coefficient, bit_mask(subset, B.size)))
-
-
 def is_flat(B: GaleDual, subset) -> bool:
     """True iff the span of the chosen columns contains no further column."""
     mask = bit_mask(subset, B.size)
@@ -260,10 +255,10 @@ class FlagOfFlats:
     @property
     def blocks(self):
         out = []
-        prev = ()
+        prev = set()
         for f in self.flats:
-            out.append(tuple([i for i in f if i not in set(prev)]))
-            prev = f
+            out.append(tuple([i for i in f if i not in prev]))
+            prev = set(f)
         return tuple(out)
 
     def block_of(self, i) -> int:
@@ -438,11 +433,6 @@ def bergman_member_loopfree(B: GaleDual, w) -> bool:
     return True
 
 
-def minimal_rowspace_supports(A: CoefficientMatrix):
-    """Minimal supports of nonzero row-space vectors: A's cocircuits, kept on A."""
-    return A.cocircuits
-
-
 def bergman_member_circuit_oracle(A: CoefficientMatrix, w) -> bool:
     """Independent membership oracle for the tropicalized kernel.
 
@@ -450,13 +440,8 @@ def bergman_member_circuit_oracle(A: CoefficientMatrix, w) -> bool:
     attains its maximum weight at least twice over its support.
     """
     w = [Fraction(x) for x in w]
-    for support in minimal_rowspace_supports(A):
+    for support in A.cocircuits:
         top = max(w[i] for i in support)
         if sum(1 for i in support if w[i] == top) < 2:
             return False
     return True
-
-
-def minor_zero_pattern(A: CoefficientMatrix):
-    """Which 3x3 minors vanish; this is the matroid fingerprint of A, kept on A."""
-    return A.minor_zero_pattern

@@ -59,7 +59,7 @@ def _job_heights(config, job):
 
 def _emit(payload, out_path):
     payload = {"schema": SCHEMA, **payload}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = jsonio.dumps(payload) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

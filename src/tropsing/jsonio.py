@@ -6,6 +6,7 @@ configuration are 0-based and refer to the canonical point order.
 """
 
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .bergman import FlagOfFlats
 from .curves import TropicalCurve
@@ -95,17 +96,6 @@ def subdivision_to_json(ms: MarkedSubdivision) -> dict:
     }
 
 
-def subdivision_from_json(config, obj) -> MarkedSubdivision:
-    try:
-        cells = [
-            (tuple([tuple(p) for p in cell["polygon"]]), tuple(cell["marked"]))
-            for cell in obj["cells"]
-        ]
-    except (KeyError, TypeError) as exc:
-        raise ParseError("bad subdivision object") from exc
-    return MarkedSubdivision(config, cells)
-
-
 def curve_to_json(curve: TropicalCurve) -> dict:
     return {
         "vertices": [rational_point_to_json(v) for v in curve.vertices],
@@ -182,3 +172,61 @@ def report_to_json(rep: SingularityReport) -> dict:
     if rep.note:
         out["note"] = rep.note
     return out
+
+
+def dumps(payload) -> str:
+    """`json.dumps(payload, indent=2, sort_keys=True)`, byte for byte.
+
+    Accepts str, int, bool, None, lists, tuples and dicts with str keys;
+    anything else, floats included, raises TypeError.  A list of plain ints
+    is written with one join, and each distinct one at each depth is encoded
+    once per call: the same flats recur across thousands of flags.
+    """
+    chunks = []
+    _encode(payload, "\n", chunks.append, {})
+    return "".join(chunks)
+
+
+def _encode(obj, pad, emit, known):
+    if isinstance(obj, str):
+        emit(encode_basestring_ascii(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            emit("[]")
+            return
+        inner = pad + "  "
+        if set(map(type, obj)) == {int}:
+            key = (tuple(obj), pad)
+            if key not in known:
+                known[key] = "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + pad + "]"
+            emit(known[key])
+            return
+        sep = "["
+        for item in obj:
+            emit(sep + inner)
+            _encode(item, inner, emit, known)
+            sep = ","
+        emit(pad + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            emit("{}")
+            return
+        inner = pad + "  "
+        sep = "{"
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            emit(sep + inner + encode_basestring_ascii(key) + ": ")
+            _encode(obj[key], inner, emit, known)
+            sep = ","
+        emit(pad + "}")
+    elif obj is None:
+        emit("null")
+    elif obj is True:
+        emit("true")
+    elif obj is False:
+        emit("false")
+    elif isinstance(obj, int):
+        emit(int.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

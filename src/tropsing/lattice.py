@@ -156,11 +156,6 @@ class PointConfiguration:
     def y_vector(self):
         return tuple([Fraction(p[1]) for p in self.points])
 
-    def boundary_indices(self):
-        return tuple(
-            [idx for idx, p in enumerate(self.points) if point_on_boundary(p, self.polygon)]
-        )
-
     def __eq__(self, other):
         return isinstance(other, PointConfiguration) and self.points == other.points
 
@@ -191,9 +186,14 @@ def circuit_kind(points):
     pts = list(points)
     if len(pts) == 3:
         return "C" if orient(*pts) == 0 else None
-    if len(pts) != 4 or any(orient(*trip) == 0 for trip in combinations(pts, 3)):
+    if len(pts) != 4:
         return None
-    return "B" if len(convex_hull(pts)) == 4 else "A"
+    signs = [orient(*trip) for trip in combinations(pts, 3)]
+    if 0 in signs:
+        return None
+    # Four points are in convex position iff the orientations of their four
+    # triples, taken in combinations order, multiply to +1.
+    return "B" if signs[0] * signs[1] * signs[2] * signs[3] > 0 else "A"
 
 
 def circuits(config) -> tuple:

@@ -70,32 +70,6 @@ def kernel_basis(rows, ncols):
     return basis
 
 
-def same_span(vectors_a, vectors_b) -> bool:
-    a = [list(v) for v in vectors_a]
-    b = [list(v) for v in vectors_b]
-    ra = rank(a) if a else 0
-    rb = rank(b) if b else 0
-    return ra == rb == rank(a + b)
-
-
-def solve(rows, rhs):
-    """Solve M x = rhs for square-or-overdetermined consistent systems.
-
-    Returns one solution as a tuple, or None if the system is inconsistent.
-    Free variables, if any, are set to zero.
-    """
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    ncols = len(rows[0])
-    reduced, pivots = rref(aug)
-    for row, p in zip(reduced, pivots):
-        if p == ncols:
-            return None
-    x = [Fraction(0)] * ncols
-    for row, p in zip(reduced, pivots):
-        x[p] = row[-1]
-    return tuple(x)
-
-
 class IncrementalSpan:
     """Maintains a reduced basis while columns get added one at a time."""
 

@@ -52,11 +52,6 @@ class PuiseuxScalar:
         """Least exponent; +inf for the zero series."""
         return self.terms[0][0] if self.terms else math.inf
 
-    def leading_coefficient(self):
-        if not self.terms:
-            raise ZeroCoefficientError("zero series has no leading coefficient")
-        return self.terms[0][1]
-
     def __add__(self, other):
         return PuiseuxScalar.from_terms(list(self.terms) + list(other.terms))
 

@@ -154,15 +154,6 @@ def _marked_on_segment(config, cell, a, b):
     return [i for i in cell.marked if point_on_segment(config.points[i], a, b)]
 
 
-def lifted_plane(config, u, trip):
-    """(a, b, c) with z = a + b*x + c*y through the lifts of three points."""
-    pts = config.points
-    return linalg.solve(
-        [[Fraction(1), Fraction(pts[i][0]), Fraction(pts[i][1])] for i in trip],
-        [u[i] for i in trip],
-    )
-
-
 def _upper_faces(config, u):
     """The regular subdivision of u and the lifted normal of each of its cells.
 
@@ -284,7 +275,13 @@ def split_weightclass_lineality(config, u, z: Circuit):
             if orient(pts[cand[0]], pts[cand[1]], pts[cand[2]]) != 0:
                 trip = cand
                 break
-        a, b, c = lifted_plane(config, u, trip)
+        # the plane z = a + b*x + c*y through the three lifts, by Cramer's rule
+        (x0, y0), (x1, y1), (x2, y2) = [pts[i] for i in trip]
+        du1, du2 = u[trip[1]] - u[trip[0]], u[trip[2]] - u[trip[0]]
+        det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+        b = (du1 * (y2 - y0) - du2 * (y1 - y0)) / det
+        c = ((x1 - x0) * du2 - (x2 - x0) * du1) / det
+        a = u[trip[0]] - b * x0 - c * y0
         rest = [i for i in zidx if i not in trip]
         for i in rest:
             if u[i] != a + b * pts[i][0] + c * pts[i][1]:

@@ -37,10 +37,10 @@ from tropsing import (
     vertex_multiplicity,
     weight_class_sample,
 )
+from oracles import same_span
 from tropsing.bergman import FlagOfFlats
 from tropsing.curves import is_balanced, locate_origin
 from tropsing.lattice import convex_hull, lattice_length, orient, polygon_area2
-from tropsing.linalg import same_span
 from tropsing.series import singularity_residues
 from tropsing.subdivisions import MarkedSubdivision
 

@@ -27,10 +27,9 @@ from tropsing import (
 from tropsing.bergman import (
     CoefficientMatrix,
     FlagOfFlats,
+    bit_indices,
     bit_mask,
-    matroid_closure,
-    minimal_rowspace_supports,
-    minor_zero_pattern,
+    closure_mask,
 )
 from tropsing import bergman, linalg
 from tropsing.linalg import rank
@@ -90,6 +89,11 @@ def span_closure(B, subset):
     return tuple(i for i in range(B.size) if span.contains(B.column(i)))
 
 
+def matroid_closure(B, subset):
+    """Sorted indices of the closure of `subset` in the column matroid of B."""
+    return bit_indices(closure_mask(B.coefficient, bit_mask(subset, B.size)))
+
+
 def flags_by_span_closure(B):
     """Reference: depth-first complete flags, each cover a span closure."""
     s, top = B.size, len(B.matrix)
@@ -133,9 +137,9 @@ class TestCoefficientMatrix:
 
     def test_matroid_invariant_under_scaling(self, five_point_config, eight_point_config):
         for cfg in (five_point_config, eight_point_config):
-            base = minor_zero_pattern(coefficient_matrix(cfg))
+            base = coefficient_matrix(cfg).minor_zero_pattern
             for (p, q) in [(2, 3), (Fraction(-1, 2), 5), (7, Fraction(3, 4))]:
-                assert minor_zero_pattern(coefficient_matrix(cfg, p, q)) == base
+                assert coefficient_matrix(cfg, p, q).minor_zero_pattern == base
 
 
 class TestGaleDual:
@@ -403,7 +407,7 @@ class TestMembership:
     def test_strict_max_on_circuit_support_fails(self, five_point_config):
         A = coefficient_matrix(five_point_config)
         B = gale_dual(A)
-        support = sorted(minimal_rowspace_supports(A)[0])
+        support = sorted(A.cocircuits[0])
         w = [Fraction(0)] * 5
         w[support[0]] = Fraction(1)
         assert not bergman_member_circuit_oracle(A, w)
@@ -412,7 +416,7 @@ class TestMembership:
     def test_supports_are_minimal_and_dependent(self, eight_point_config):
         A = coefficient_matrix(eight_point_config)
         B = gale_dual(A)
-        for sup in minimal_rowspace_supports(A):
+        for sup in A.cocircuits:
             cols = [B.column(i) for i in sup]
             assert rank(cols) == len(sup) - 1
             for i in sup:
@@ -528,16 +532,16 @@ class TestCocircuits:
         # block matrices at (1, 0): zero columns and parallel columns
         mats += [coefficient_matrix_non_torus(cfg) for cfg in (intro_config, grid_config)]
         for A in mats:
-            assert minimal_rowspace_supports(A) == supports_by_subset_scan(A)
+            assert A.cocircuits == supports_by_subset_scan(A)
 
     def test_computed_once_per_matrix(self, intro_config):
         A = coefficient_matrix(intro_config)
-        assert minimal_rowspace_supports(A) is minimal_rowspace_supports(A)
+        assert A.cocircuits is A.cocircuits
 
     def test_minor_table_computed_once_per_matrix(self, intro_config):
         A = coefficient_matrix(intro_config)
-        assert minor_zero_pattern(A) is minor_zero_pattern(A)
-        assert minor_zero_pattern(A) is not minor_zero_pattern(coefficient_matrix(intro_config))
+        assert A.minor_zero_pattern is A.minor_zero_pattern
+        assert A.minor_zero_pattern is not coefficient_matrix(intro_config).minor_zero_pattern
 
     def test_one_minor_per_triple(self, eight_point_config, monkeypatch):
         # cocircuits, closures, flags and the flat test all read the one table
@@ -545,7 +549,7 @@ class TestCocircuits:
         B = gale_dual(A)
         real, calls = bergman.minor, []
         monkeypatch.setattr(bergman, "minor", lambda *cols: calls.append(cols) or real(*cols))
-        minimal_rowspace_supports(A)
+        A.cocircuits
         flags = enumerate_flags(B)
         assert flag_from_weight(B, weight_class_sample(flags[0])).is_flag_of_flats
         assert len(calls) == comb(8, 3)
@@ -556,7 +560,7 @@ class TestCocircuits:
         for low in [(rows[0], rows[1], rows[0]), (rows[0], zero, zero)]:
             A = CoefficientMatrix(low, five_point_config, (1, 1))
             with pytest.raises(TropsingError):
-                minimal_rowspace_supports(A)
+                A.cocircuits
 
     def test_three_oracles_agree_on_5x5_grid(self):
         cfg = PointConfiguration.from_polygon([(0, 0), (4, 0), (4, 4), (0, 4)])

@@ -1,18 +1,22 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropsing import PointConfiguration, dual_curve, regular_subdivision, render_svg
-from tropsing.cli import run_cli
+from tropsing.cli import _cmd_flags, build_parser, run_cli
 from tropsing.jsonio import (
     config_from_json,
     config_to_json,
     curve_to_json,
+    dumps,
     fraction_from_json,
     fraction_to_json,
-    subdivision_from_json,
     subdivision_to_json,
 )
+from tropsing.subdivisions import MarkedSubdivision
 from tropsing.svg import render_pair
 
 
@@ -25,6 +29,15 @@ INTRO_SERIES_JOB = {
     "points": [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [1, 2]],
     "coefficients": ["-t - t^3", "1 + 2*t + t^3", "-t", "t^3", "-2 - t^3", "1"],
 }
+
+
+def subdivision_from_json(config, obj) -> MarkedSubdivision:
+    """Inverse of `subdivision_to_json`, for the round-trip test."""
+    cells = [
+        (tuple([tuple(p) for p in cell["polygon"]]), tuple(cell["marked"]))
+        for cell in obj["cells"]
+    ]
+    return MarkedSubdivision(config, cells)
 
 
 def run_job(tmp_path, capsys, command, job, *extra):
@@ -65,6 +78,61 @@ class TestJsonRoundtrip:
         flags = enumerate_flags(gale_dual(coefficient_matrix(intro_config)))
         for flag in flags[:5]:
             assert flag_from_json(flag_to_json(flag)["flats"]) == flag
+
+
+def assert_dumps_like_stdlib(payload):
+    """Reference: the stdlib encoder with the CLI's settings.
+
+    Compared line by line, so a failure names the first differing line
+    instead of diffing megabytes of text.
+    """
+    expected = json.dumps(payload, indent=2, sort_keys=True)
+    assert dumps(payload).split("\n") == expected.split("\n")
+
+
+ints = st.integers() | st.integers(min_value=-(10**40), max_value=10**40)
+int_lists = st.lists(st.integers(min_value=-3, max_value=12), max_size=5)
+scalars = st.none() | st.booleans() | ints | st.text() | int_lists | st.lists(st.booleans())
+trees = st.recursive(
+    scalars,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestDumps:
+    @pytest.mark.parametrize(
+        "points,count",
+        [
+            ([[i, j] for j in range(3) for i in range(3)], 12240),
+            ([[0, 0], [1, 0], [2, 0], [3, 0], [0, 1], [1, 1], [2, 1], [3, 1], [0, 2]], 11760),
+        ],
+    )
+    def test_matches_stdlib_on_flags_payloads(self, points, count):
+        payload = _cmd_flags({"points": points}, build_parser().parse_args(["flags"]))
+        assert payload["flag_count"] == count
+        assert_dumps_like_stdlib(payload)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(tree=trees, seq=int_lists)
+    def test_matches_stdlib_on_random_trees(self, tree, seq):
+        # the same int sequence as a list and a tuple at several depths
+        payload = {"a": seq, "b": [seq, [tuple(seq), {"c": seq}]], "tree": tree}
+        assert_dumps_like_stdlib(payload)
+        assert_dumps_like_stdlib(tree)
+
+    def test_strings_escape_as_ascii(self):
+        payload = {"é\x00": ["\u2603\n\t\"\\", "\U0001f600", "\x1f"], "": {}, "e": []}
+        assert_dumps_like_stdlib(payload)
+
+    @pytest.mark.parametrize(
+        "bad", [Fraction(1, 2), 0.5, [1, 2.0], {"x": [Fraction(3)]}, {1: "one"}]
+    )
+    def test_rejects_other_types(self, bad):
+        with pytest.raises(TypeError):
+            dumps(bad)
 
 
 class TestCli:

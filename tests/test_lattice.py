@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -14,7 +14,7 @@ from tropsing import (
     circuit_of,
     circuits,
 )
-from tropsing.lattice import convex_hull, lattice_points_in_polygon, orient
+from tropsing.lattice import circuit_kind, convex_hull, lattice_points_in_polygon, orient
 
 
 def brute_force_relations(points, support):
@@ -58,7 +58,7 @@ def brute_force_relations(points, support):
 
 
 def spans_equal(a, b):
-    from tropsing.linalg import same_span
+    from oracles import same_span
 
     return same_span(a, b)
 
@@ -214,6 +214,15 @@ class TestCircuits:
                     else:
                         with pytest.raises(ConfigurationError):
                             circuit_of(cfg, idx)
+
+    def test_kind_sign_rule_matches_hull_rule(self):
+        """Reference: a 4-point circuit is of type B iff its hull has 4 vertices."""
+        grid = [(i, j) for j in range(4) for i in range(4)]
+        for pts in permutations(grid, 4):
+            expected = None
+            if all(orient(*trip) != 0 for trip in combinations(pts, 3)):
+                expected = "B" if len(convex_hull(pts)) == 4 else "A"
+            assert circuit_kind(pts) == expected, pts
 
     @pytest.mark.parametrize(
         "indices", [(0, 1), (0, 1, 2, 3, 4), (0, 0, 1), (0, 1, 2, 2), (0, 1, 9), (-1, 0, 1)]

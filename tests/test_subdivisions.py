@@ -14,6 +14,7 @@ from tropsing import (
     SubdivisionError,
     WrongCodimensionError,
     circuit_of,
+    circuits,
     cone_info,
     decompose_weightclass_lineality,
     dual_curve,
@@ -21,11 +22,28 @@ from tropsing import (
     lineality_basis,
     regular_subdivision,
 )
+from oracles import same_span
 from tropsing.bergman import coefficient_matrix, flag_from_weight, gale_dual
 from tropsing.curves import is_balanced
 from tropsing.lattice import convex_hull, orient, polygon_area2
-from tropsing.linalg import same_span
-from tropsing.subdivisions import _upper_faces, as_heights, codim1_circuit, lifted_plane
+from tropsing.linalg import rref
+from tropsing.subdivisions import (
+    _upper_faces,
+    as_heights,
+    codim1_circuit,
+    split_weightclass_lineality,
+)
+
+
+def lifted_plane(config, u, trip):
+    """Reference: (a, b, c) with z = a + b*x + c*y through three lifted points,
+    by Gaussian elimination on the augmented system."""
+    pts = config.points
+    aug = [[Fraction(1), Fraction(pts[i][0]), Fraction(pts[i][1]), u[i]] for i in trip]
+    reduced, pivots = rref(aug)
+    if pivots != (0, 1, 2):
+        raise ValueError(f"points {trip} are collinear")
+    return tuple([row[3] for row in reduced])
 
 
 def cell_lookup(ms):
@@ -286,6 +304,19 @@ class TestDecomposition:
             )
             assert rebuilt == u
             assert flag_from_weight(B, u_wc).is_flag_of_flats
+
+    def test_circuit_plane_matches_elimination(self, grid_config):
+        rnd = random.Random(5)
+        for z in circuits(grid_config):
+            if z.kind == "C":
+                continue
+            u = [Fraction(rnd.randint(-9, 9), rnd.randint(1, 4)) for _ in grid_config.points]
+            a, b, c = [Fraction(rnd.randint(-9, 9), rnd.randint(1, 4)) for _ in range(3)]
+            for i in z.indices:
+                x, y = grid_config.points[i]
+                u[i] = a + b * x + c * y
+            _u_wc, cx, cy, _c1 = split_weightclass_lineality(grid_config, u, z)
+            assert (cx, cy) == lifted_plane(grid_config, u, z.indices[:3])[1:] == (b, c)
 
     def test_requires_visible_circuit(self, intro_config):
         z = circuit_of(intro_config, (1, 4, 5))
