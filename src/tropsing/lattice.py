@@ -188,12 +188,12 @@ def circuit_kind(points):
         return "C" if orient(*pts) == 0 else None
     if len(pts) != 4:
         return None
-    signs = [orient(*trip) for trip in combinations(pts, 3)]
-    if 0 in signs:
+    a, b, c, d = pts
+    # convex position (type B) iff the four triples' orientations multiply to +1
+    sign = orient(a, b, c) * orient(a, b, d) * orient(a, c, d) * orient(b, c, d)
+    if sign == 0:
         return None
-    # Four points are in convex position iff the orientations of their four
-    # triples, taken in combinations order, multiply to +1.
-    return "B" if signs[0] * signs[1] * signs[2] * signs[3] > 0 else "A"
+    return "B" if sign > 0 else "A"
 
 
 def circuits(config) -> tuple:

@@ -14,6 +14,7 @@ from tropsing import (
     circuit_of,
     circuits,
 )
+from oracles import same_span
 from tropsing.lattice import circuit_kind, convex_hull, lattice_points_in_polygon, orient
 
 
@@ -57,12 +58,6 @@ def brute_force_relations(points, support):
     return basis
 
 
-def spans_equal(a, b):
-    from oracles import same_span
-
-    return same_span(a, b)
-
-
 class TestPointConfiguration:
     def test_canonical_order_is_row_major(self, intro_config):
         assert intro_config.points == ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (1, 2))
@@ -103,7 +98,7 @@ class TestAffineRelations:
             (1, -1, -1, 1, 0),
             (0, 1, 0, -2, 1),
         ]
-        assert spans_equal(basis, expected)
+        assert same_span(basis, expected)
 
     def test_unit_triangle_empty(self):
         tri = PointConfiguration([(0, 0), (1, 0), (0, 1)])
@@ -112,10 +107,10 @@ class TestAffineRelations:
     def test_supported_subspaces(self, five_point_config):
         # restricting to the first four points leaves only the square relation
         basis = affine_relation_space(five_point_config, [0, 1, 2, 3])
-        assert spans_equal(basis, [(1, -1, -1, 1, 0)])
+        assert same_span(basis, [(1, -1, -1, 1, 0)])
         # the last four span the collinear relation on x = 1
         basis = affine_relation_space(five_point_config, [1, 2, 3, 4])
-        assert spans_equal(basis, [(0, 1, 0, -2, 1)])
+        assert same_span(basis, [(0, 1, 0, -2, 1)])
 
     def test_relation_identities(self, eight_point_config):
         for support in [None, [0, 1, 2, 3], [2, 3, 4, 5, 6]]:
@@ -141,7 +136,7 @@ class TestAffineRelations:
             support = sorted(rnd.sample(range(eight_point_config.size), k))
             mine = affine_relation_space(eight_point_config, support)
             oracle = brute_force_relations(eight_point_config.points, support)
-            assert spans_equal(mine, oracle)
+            assert same_span(mine, oracle)
 
 
 def circuits_by_exhaustion(config):
