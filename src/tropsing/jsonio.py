@@ -5,6 +5,7 @@ floats are rejected on input so no precision is ever lost.  Indices into a
 configuration are 0-based and refer to the canonical point order.
 """
 
+from dataclasses import fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -138,40 +139,25 @@ def flag_from_json(obj) -> FlagOfFlats:
 
 
 def report_to_json(rep: SingularityReport) -> dict:
-    out = {"kind": rep.kind}
-    if rep.vertex is not None:
-        out["vertex"] = rational_point_to_json(rep.vertex)
-    if rep.dual_cell is not None:
-        out["dual_cell"] = [point_to_json(p) for p in rep.dual_cell]
-    if rep.multiplicity is not None:
-        out["multiplicity"] = rep.multiplicity
-    if rep.valence is not None:
-        out["valence"] = rep.valence
-    if rep.edge is not None:
-        out["edge"] = [rational_point_to_json(v) for v in rep.edge]
-    if rep.edge_weight is not None:
-        out["edge_weight"] = rep.edge_weight
-    if rep.ray_vertex is not None:
-        out["ray_vertex"] = rational_point_to_json(rep.ray_vertex)
-    if rep.ray_direction is not None:
-        out["ray_direction"] = list(rep.ray_direction)
-    if rep.ray_weight is not None:
-        out["ray_weight"] = rep.ray_weight
-    if rep.circuit is not None:
-        out["circuit"] = circuit_to_json(rep.circuit)
-    if rep.l1 is not None:
-        out["l1"] = fraction_to_json(rep.l1)
-    if rep.l2 is not None:
-        out["l2"] = fraction_to_json(rep.l2)
-    if rep.heights is not None:
-        out["heights"] = {
-            k: fraction_to_json(v) for k, v in rep.heights.items() if v is not None
-        }
-    if rep.maximal_dimensional is not None:
-        out["maximal_dimensional"] = rep.maximal_dimensional
-    if rep.note:
-        out["note"] = rep.note
+    """Every witness the report sets; None heights and an empty note are dropped."""
+    out = {}
+    for field in fields(rep):
+        value = _witness_to_json(getattr(rep, field.name))
+        if value is not None and value != "":
+            out[field.name] = value
     return out
+
+
+def _witness_to_json(x):
+    if isinstance(x, Fraction):
+        return fraction_to_json(x)
+    if isinstance(x, Circuit):
+        return circuit_to_json(x)
+    if isinstance(x, tuple):
+        return [_witness_to_json(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _witness_to_json(v) for k, v in x.items() if v is not None}
+    return x
 
 
 def dumps(payload) -> str:

@@ -61,8 +61,9 @@ class SingularityReport:
         )
 
 
-def _segment_points(config, a, b):
-    return [i for i, p in enumerate(config.points) if point_on_segment(p, a, b)]
+def _segment_circuit(config, segment):
+    """The collinear circuit of the marked points on a weight-2 dual segment."""
+    return Circuit(tuple([i for i, p in enumerate(config.points) if point_on_segment(p, *segment)]), "C")
 
 
 def _edge_distances(curve, edge):
@@ -82,6 +83,17 @@ def _edge_distances(curve, edge):
 
 def _interior_count(cell, config):
     return sum(1 for i in cell.marked if not point_on_boundary(config.points[i], cell.polygon))
+
+
+def _circuit_normalized(config, u, z):
+    """Heights of u in the weight-class normalization of z, and mu, z's height."""
+    u_wc = split_weightclass_lineality(config, u, z)[0]
+    return u_wc, u_wc[z.indices[0]]
+
+
+def _off_circuit(cell, z):
+    """First marked point of the cell outside the circuit, None if none is."""
+    return next((i for i in cell.marked if i not in z.indices), None)
 
 
 def classify_singularity(config, u) -> SingularityReport:
@@ -126,211 +138,104 @@ def _classify_vertex(config, curve, ms, info, vi, clean):
     val = curve.valence(vi)
     mult = vertex_multiplicity(curve, vi)
     npts = len(cell.marked)
-    vertex = curve.vertices[vi]
     inner = _interior_count(cell, config)
+    maximal = clean and info.codimension == 1
+    circuit = None
 
     if len(poly) == 3 and npts == 4 and inner == 1:
-        if clean and info.codimension == 1:
-            z = Circuit(tuple(cell.marked), "A")
-            return SingularityReport(
-                TYPE_A3,
-                vertex=vertex,
-                dual_cell=poly,
-                multiplicity=mult,
-                valence=val,
-                circuit=z,
-            )
-        return SingularityReport(
-            NON_MAXIMAL,
-            vertex=vertex,
-            dual_cell=poly,
-            multiplicity=mult,
-            valence=val,
-            note="interior-point triangle at the origin, but cone not maximal",
-        )
-    if len(poly) == 3 and npts == 4 and inner == 0:
+        if maximal:
+            kind, note, circuit = TYPE_A3, "", Circuit(tuple(cell.marked), "A")
+        else:
+            kind, note = NON_MAXIMAL, "interior-point triangle at the origin, but cone not maximal"
+    elif len(poly) == 3 and npts == 4 and inner == 0:
         # collinear circuit on a cell edge with its dual vertex at the origin:
         # boundary case of the weight-2-edge cones
         if clean:
-            return SingularityReport(
-                NON_GENERIC,
-                vertex=vertex,
-                dual_cell=poly,
-                multiplicity=mult,
-                valence=val,
-                note="origin at an endpoint of a would-be weight-2 edge",
-            )
-        return SingularityReport(
-            NON_MAXIMAL,
-            vertex=vertex,
-            dual_cell=poly,
-            multiplicity=mult,
-            valence=val,
-            note="degenerate edge endpoint at the origin, cone not maximal",
-        )
-    if len(poly) == 4 and npts == 4:
-        if clean and info.codimension == 1:
-            z = Circuit(tuple(cell.marked), "B")
-            return SingularityReport(
-                TYPE_A4,
-                vertex=vertex,
-                dual_cell=poly,
-                multiplicity=mult,
-                valence=val,
-                circuit=z,
-            )
-        return SingularityReport(
-            NON_MAXIMAL,
-            vertex=vertex,
-            dual_cell=poly,
-            multiplicity=mult,
-            valence=val,
-            note="quadrangle vertex at the origin, but cone not maximal",
-        )
-    if len(poly) == 4 and npts == 5 and inner == 0:
+            kind, note = NON_GENERIC, "origin at an endpoint of a would-be weight-2 edge"
+        else:
+            kind, note = NON_MAXIMAL, "degenerate edge endpoint at the origin, cone not maximal"
+    elif len(poly) == 4 and npts == 4:
+        if maximal:
+            kind, note, circuit = TYPE_A4, "", Circuit(tuple(cell.marked), "B")
+        else:
+            kind, note = NON_MAXIMAL, "quadrangle vertex at the origin, but cone not maximal"
+    elif len(poly) == 4 and npts == 5 and inner == 0:
         kind = NON_GENERIC if clean else NON_MAXIMAL
-        return SingularityReport(
-            kind,
-            vertex=vertex,
-            dual_cell=poly,
-            multiplicity=mult,
-            valence=val,
-            note="trapezoid vertex at the origin (pair height equals circuit height)",
-        )
-    if val == 3 and mult == 1:
+        note = "trapezoid vertex at the origin (pair height equals circuit height)"
+    elif val == 3 and mult == 1:
         return SingularityReport(NOT_SINGULAR, note="origin is a smooth vertex")
+    else:
+        kind, note = NON_MAXIMAL, "higher vertex structure at the origin"
     return SingularityReport(
-        NON_MAXIMAL,
-        vertex=vertex,
+        kind,
+        vertex=curve.vertices[vi],
         dual_cell=poly,
         multiplicity=mult,
         valence=val,
-        note="higher vertex structure at the origin",
+        circuit=circuit,
+        note=note,
     )
 
 
 def _classify_edge(config, u, curve, ms, info, edge, clean):
     if edge.weight == 1:
         return SingularityReport(NOT_SINGULAR, note="origin inside a weight-1 edge")
+    v1, v2 = edge.ends
+    endpoints = (curve.vertices[v1], curve.vertices[v2])
     if edge.weight >= 3:
         return SingularityReport(
-            NON_MAXIMAL,
-            edge=(curve.vertices[edge.ends[0]], curve.vertices[edge.ends[1]]),
-            edge_weight=edge.weight,
-            note="edge weight exceeds 2",
+            NON_MAXIMAL, edge=endpoints, edge_weight=edge.weight, note="edge weight exceeds 2"
         )
-    zidx = _segment_points(config, *edge.dual_segment)
-    z = Circuit(tuple(sorted(zidx)), "C")
-    v1, v2 = edge.ends
+    z = _segment_circuit(config, edge.dual_segment)
     n1, n2 = curve.valence(v1), curve.valence(v2)
-    d1, d2 = _edge_distances(curve, edge)
-    endpoints = (curve.vertices[v1], curve.vertices[v2])
+    l1 = l2 = heights = None
 
     if {n1, n2} == {3}:
+        l1, l2 = _edge_distances(curve, edge)
         # a non-maximal cone can show this local picture with any distance
         # ratio (a hidden gray point lets a farther apex bind the cell), so
         # the maximality gates come before the metric verdicts
         if not (clean and info.codimension == 1):
-            return SingularityReport(
-                NON_MAXIMAL,
-                edge=endpoints,
-                edge_weight=2,
-                circuit=z,
-                l1=d1,
-                l2=d2,
-                note="weight-2 edge, but cone not maximal",
-            )
-        if d1 != d2:
-            return SingularityReport(
-                NOT_SINGULAR,
-                edge=endpoints,
-                edge_weight=2,
-                l1=d1,
-                l2=d2,
-                circuit=z,
-                note="unequal distances on a weight-2 edge",
-            )
-        u_wc = split_weightclass_lineality(config, u, z)[0]
-        mu = u_wc[z.indices[0]]
-        lam = max(
-            u_wc[i]
-            for i in range(config.size)
-            if i not in z.indices and _off_line(config, z, i)
-        )
-        return SingularityReport(
-            TYPE_B1,
-            edge=endpoints,
-            edge_weight=2,
-            circuit=z,
-            l1=d1,
-            l2=d2,
-            heights={"lambda": lam, "mu": mu},
-        )
-
-    if {n1, n2} == {3, 4}:
-        if n1 == 4:
-            d4, d3 = d1, d2
-            c4, c3 = v1, v2
+            kind, note = NON_MAXIMAL, "weight-2 edge, but cone not maximal"
+        elif l1 != l2:
+            kind, note = NOT_SINGULAR, "unequal distances on a weight-2 edge"
         else:
-            d4, d3 = d2, d1
-            c4, c3 = v2, v1
+            kind, note = TYPE_B1, ""
+            u_wc, mu = _circuit_normalized(config, u, z)
+            lam = max(u_wc[i] for i in range(config.size) if _off_line(config, z, i))
+            heights = {"lambda": lam, "mu": mu}
+    elif {n1, n2} == {3, 4}:
+        # l1 is the 4-valent end's distance, l2 the 3-valent end's
+        l1, l2 = _edge_distances(curve, edge)
+        c4, c3 = v1, v2
+        if n2 == 4:
+            l1, l2, c4, c3 = l2, l1, v2, v1
         if not (clean and info.codimension == 2):
-            return SingularityReport(
-                NON_MAXIMAL,
-                edge=endpoints,
-                edge_weight=2,
-                circuit=z,
-                l1=d4,
-                l2=d3,
-                note="4/3-valent weight-2 edge, but cone not of the expected shape",
-            )
-        if d4 == d3:
-            return SingularityReport(
-                NON_GENERIC,
-                edge=endpoints,
-                edge_weight=2,
-                circuit=z,
-                l1=d4,
-                l2=d3,
-                note="equidistant 4-valent and 3-valent vertices",
-            )
-        if d4 > d3:
-            return SingularityReport(
-                NOT_SINGULAR,
-                edge=endpoints,
-                edge_weight=2,
-                circuit=z,
-                l1=d4,
-                l2=d3,
-                note="4-valent vertex farther from the origin than the 3-valent one",
-            )
-        u_wc = split_weightclass_lineality(config, u, z)[0]
-        mu = u_wc[z.indices[0]]
-        quad = ms.cells[c4]
-        grays = [i for i in quad.marked if i not in z.indices]
-        tri = ms.cells[c3]
-        apex = [i for i in tri.marked if i not in z.indices]
-        heights = {
-            "lambda": u_wc[grays[0]],
-            "mu": mu,
-            "nu": u_wc[apex[0]] if apex else None,
-        }
-        return SingularityReport(
-            TYPE_B2_INTERIOR,
-            edge=endpoints,
-            edge_weight=2,
-            circuit=z,
-            l1=d4,
-            l2=d3,
-            heights=heights,
-        )
-
+            kind, note = NON_MAXIMAL, "4/3-valent weight-2 edge, but cone not of the expected shape"
+        elif l1 == l2:
+            kind, note = NON_GENERIC, "equidistant 4-valent and 3-valent vertices"
+        elif l1 > l2:
+            kind, note = NOT_SINGULAR, "4-valent vertex farther from the origin than the 3-valent one"
+        else:
+            kind, note = TYPE_B2_INTERIOR, ""
+            u_wc, mu = _circuit_normalized(config, u, z)
+            apex = _off_circuit(ms.cells[c3], z)
+            heights = {
+                "lambda": u_wc[_off_circuit(ms.cells[c4], z)],
+                "mu": mu,
+                "nu": u_wc[apex] if apex is not None else None,
+            }
+    else:
+        kind, note = NON_MAXIMAL, f"weight-2 edge with valences {n1},{n2}"
     return SingularityReport(
-        NON_MAXIMAL,
+        kind,
         edge=endpoints,
         edge_weight=2,
         circuit=z,
-        note=f"weight-2 edge with valences {n1},{n2}",
+        l1=l1,
+        l2=l2,
+        heights=heights,
+        note=note,
     )
 
 
@@ -343,67 +248,41 @@ def _off_line(config, z: Circuit, i) -> bool:
 def _classify_ray(config, u, curve, ms, info, ray, clean):
     if ray.weight == 1:
         return SingularityReport(NOT_SINGULAR, note="origin inside a weight-1 ray")
+    vpos = curve.vertices[ray.vertex]
     if ray.weight >= 3:
         return SingularityReport(
             NON_MAXIMAL,
-            ray_vertex=curve.vertices[ray.vertex],
+            ray_vertex=vpos,
             ray_direction=ray.direction,
             ray_weight=ray.weight,
             note="ray weight exceeds 2",
         )
-    zidx = _segment_points(config, *ray.dual_segment)
-    z = Circuit(tuple(sorted(zidx)), "C")
+    z = _segment_circuit(config, ray.dual_segment)
     val = curve.valence(ray.vertex)
-    vpos = curve.vertices[ray.vertex]
-    if val == 4:
-        if clean and info.codimension == 2:
-            u_wc = split_weightclass_lineality(config, u, z)[0]
-            mu = u_wc[z.indices[0]]
-            quad = ms.cells[ray.vertex]
-            grays = [i for i in quad.marked if i not in z.indices]
-            dist = _ray_distance(vpos, ray.direction)
-            return SingularityReport(
-                TYPE_B2_BOUNDARY,
-                ray_vertex=vpos,
-                ray_direction=ray.direction,
-                ray_weight=2,
-                circuit=z,
-                l1=dist,
-                heights={"lambda": u_wc[grays[0]], "mu": mu},
-            )
-        return SingularityReport(
-            NON_MAXIMAL,
-            ray_vertex=vpos,
-            ray_direction=ray.direction,
-            ray_weight=2,
-            circuit=z,
-            note="4-valent fat ray, but cone not of the expected shape",
-        )
-    if val == 3:
-        if not clean:
-            return SingularityReport(
-                NON_MAXIMAL,
-                ray_vertex=vpos,
-                ray_direction=ray.direction,
-                ray_weight=2,
-                circuit=z,
-                note="3-valent vertex over a boundary circuit with white points",
-            )
-        return SingularityReport(
-            NOT_SINGULAR,
-            ray_vertex=vpos,
-            ray_direction=ray.direction,
-            ray_weight=2,
-            circuit=z,
-            note="boundary circuit under a minimal-distance apex (excluded cone)",
-        )
+    l1 = heights = None
+
+    if val == 4 and clean and info.codimension == 2:
+        kind, note = TYPE_B2_BOUNDARY, ""
+        u_wc, mu = _circuit_normalized(config, u, z)
+        l1 = _ray_distance(vpos, ray.direction)
+        heights = {"lambda": u_wc[_off_circuit(ms.cells[ray.vertex], z)], "mu": mu}
+    elif val == 4:
+        kind, note = NON_MAXIMAL, "4-valent fat ray, but cone not of the expected shape"
+    elif val == 3 and not clean:
+        kind, note = NON_MAXIMAL, "3-valent vertex over a boundary circuit with white points"
+    elif val == 3:
+        kind, note = NOT_SINGULAR, "boundary circuit under a minimal-distance apex (excluded cone)"
+    else:
+        kind, note = NON_MAXIMAL, f"weight-2 ray at a {val}-valent vertex"
     return SingularityReport(
-        NON_MAXIMAL,
+        kind,
         ray_vertex=vpos,
         ray_direction=ray.direction,
         ray_weight=2,
         circuit=z,
-        note=f"weight-2 ray at a {val}-valent vertex",
+        l1=l1,
+        heights=heights,
+        note=note,
     )
 
 
@@ -412,13 +291,8 @@ def _ray_distance(vpos, direction):
     return abs(vpos[axis] / Fraction(direction[axis]))
 
 
-def coefficient_matrix_non_torus(config) -> CoefficientMatrix:
-    """Block matrix of the singularity conditions at the boundary point (1, 0).
-
-    Rows: all-ones on the {y=0} block, the x-coordinates on the {y=0} block,
-    and all-ones on the {y=1} block.  Requires at least 3 points with y = 0
-    and at least 2 with y = 1, all exponents nonnegative.
-    """
+def _boundary_rows(config):
+    """Indices of the points on {y=0} and on {y=1}, checking the block structure."""
     pts = config.points
     if any(j < 0 for _i, j in pts):
         raise InsufficientBoundaryPointsError("negative exponents have a pole at y=0")
@@ -428,6 +302,18 @@ def coefficient_matrix_non_torus(config) -> CoefficientMatrix:
         raise InsufficientBoundaryPointsError(
             "need >= 3 points on {y=0} and >= 2 points on {y=1}"
         )
+    return bottom, second
+
+
+def coefficient_matrix_non_torus(config) -> CoefficientMatrix:
+    """Block matrix of the singularity conditions at the boundary point (1, 0).
+
+    Rows: all-ones on the {y=0} block, the x-coordinates on the {y=0} block,
+    and all-ones on the {y=1} block.  Requires at least 3 points with y = 0
+    and at least 2 with y = 1, all exponents nonnegative.
+    """
+    bottom, second = _boundary_rows(config)
+    pts = config.points
     rows = [[Fraction(0)] * len(pts) for _ in range(3)]
     for k in bottom:
         rows[0][k] = Fraction(1)
@@ -446,61 +332,45 @@ def classify_non_torus(config, u) -> SingularityReport:
     least 4-valent or 3-valent of multiplicity at least 4.  The report flags
     the 4-valent case as maximal dimensional.
     """
-    coefficient_matrix_non_torus(config)  # validates the block structure
+    bottom, second = _boundary_rows(config)
     u = as_heights(config, u)
-    pts = config.points
-    bottom = [k for k, (_i, j) in enumerate(pts) if j == 0]
-    second = [k for k, (_i, j) in enumerate(pts) if j == 1]
-    mb = max(u[k] for k in bottom)
-    if sum(1 for k in bottom if u[k] == mb) < 3:
-        return SingularityReport(
-            NOT_SINGULAR, note="maximum on {y=0} attained fewer than 3 times"
-        )
-    m1 = max(u[k] for k in second)
-    if sum(1 for k in second if u[k] == m1) < 2:
-        return SingularityReport(
-            NOT_SINGULAR, note="maximum on {y=1} attained fewer than 2 times"
-        )
+    for row, ties, line in ((bottom, 3, "{y=0}"), (second, 2, "{y=1}")):
+        top = max(u[k] for k in row)
+        if sum(1 for k in row if u[k] == top) < ties:
+            return SingularityReport(
+                NOT_SINGULAR, note=f"maximum on {line} attained fewer than {ties} times"
+            )
     curve = dual_curve(config, u)
-    target = None
-    for r in curve.rays:
-        if r.direction == (0, -1) and r.weight >= 2 and curve.vertices[r.vertex][0] == 0:
-            target = r
-            break
+    target = next(
+        (
+            r
+            for r in curve.rays
+            if r.direction == (0, -1) and r.weight >= 2 and curve.vertices[r.vertex][0] == 0
+        ),
+        None,
+    )
     if target is None:
         return SingularityReport(
             NON_GENERIC, note="tie conditions hold but no fat downward end found"
         )
     val = curve.valence(target.vertex)
     mult = vertex_multiplicity(curve, target.vertex)
+    maximal = None
     if val >= 4:
-        return SingularityReport(
-            FAT_END,
-            ray_vertex=curve.vertices[target.vertex],
-            ray_direction=target.direction,
-            ray_weight=target.weight,
-            valence=val,
-            multiplicity=mult,
-            maximal_dimensional=(val == 4),
-            note="fat end at a 4-valent vertex" if val == 4 else "fat end, valence > 4",
-        )
-    if val == 3 and mult >= 4:
-        return SingularityReport(
-            FAT_END,
-            ray_vertex=curve.vertices[target.vertex],
-            ray_direction=target.direction,
-            ray_weight=target.weight,
-            valence=val,
-            multiplicity=mult,
-            maximal_dimensional=False,
-            note="fat end at a 3-valent vertex of higher multiplicity",
-        )
+        kind, maximal = FAT_END, val == 4
+        note = "fat end at a 4-valent vertex" if val == 4 else "fat end, valence > 4"
+    elif val == 3 and mult >= 4:
+        kind, maximal = FAT_END, False
+        note = "fat end at a 3-valent vertex of higher multiplicity"
+    else:
+        kind, note = NON_GENERIC, "fat end with unexpectedly small vertex data"
     return SingularityReport(
-        NON_GENERIC,
+        kind,
         ray_vertex=curve.vertices[target.vertex],
         ray_direction=target.direction,
         ray_weight=target.weight,
         valence=val,
         multiplicity=mult,
-        note="fat end with unexpectedly small vertex data",
+        maximal_dimensional=maximal,
+        note=note,
     )
