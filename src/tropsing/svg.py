@@ -20,7 +20,12 @@ FONT = "font-family=\"monospace\" font-size=\"14\""
 
 
 def _fmt(x) -> str:
-    return f"{float(x):.3f}"
+    """x to three decimals, exactly; a tie goes to the even digit."""
+    x = Fraction(x)
+    q, r = divmod(abs(x.numerator) * 1000, x.denominator)
+    if 2 * r > x.denominator or (2 * r == x.denominator and q % 2):
+        q += 1
+    return f"{'-' if x < 0 else ''}{q // 1000}.{q % 1000:03d}"
 
 
 class _Canvas:
@@ -30,8 +35,8 @@ class _Canvas:
         pad = max(pad_x, pad_y, Fraction(1))
         self.xmin, self.xmax = xmin - pad, xmax + pad
         self.ymin, self.ymax = ymin - pad, ymax + pad
-        self.width = float(self.xmax - self.xmin) * SCALE
-        self.height = float(self.ymax - self.ymin) * SCALE
+        self.width = (self.xmax - self.xmin) * SCALE
+        self.height = (self.ymax - self.ymin) * SCALE
 
     def to_svg(self, p):
         x = (Fraction(p[0]) - self.xmin) * SCALE
@@ -63,11 +68,11 @@ class _Canvas:
         return best[1] if best else (sx, sy)
 
 
-def _header(canvas):
+def _header(width, height):
     return (
         "<svg xmlns=\"http://www.w3.org/2000/svg\" version=\"1.1\" "
-        f"width=\"{_fmt(canvas.width)}\" height=\"{_fmt(canvas.height)}\" "
-        f"viewBox=\"0 0 {_fmt(canvas.width)} {_fmt(canvas.height)}\">"
+        f"width=\"{_fmt(width)}\" height=\"{_fmt(height)}\" "
+        f"viewBox=\"0 0 {_fmt(width)} {_fmt(height)}\">"
     )
 
 
@@ -141,13 +146,8 @@ def _curve_bbox(curve: TropicalCurve):
     return min(xs), max(xs), min(ys), max(ys)
 
 
-def render_svg(obj, padding=Fraction(1, 5)) -> str:
-    """Standalone SVG document for a MarkedSubdivision or a TropicalCurve.
-
-    The output is byte-identical for identical input.  padding widens the
-    viewport relative to the data bounding box (default 20%); rays are
-    truncated at that viewport.
-    """
+def _layout(obj, padding):
+    """Canvas and body elements of a MarkedSubdivision or TropicalCurve."""
     padding = Fraction(padding)
     parts = []
     if isinstance(obj, MarkedSubdivision):
@@ -156,42 +156,40 @@ def render_svg(obj, padding=Fraction(1, 5)) -> str:
         canvas = _Canvas(
             Fraction(min(xs)), Fraction(max(xs)), Fraction(min(ys)), Fraction(max(ys)), padding
         )
-        parts.append(_header(canvas))
         _subdivision_body(obj, canvas, parts)
     elif isinstance(obj, TropicalCurve):
         canvas = _Canvas(*_curve_bbox(obj), padding)
-        parts.append(_header(canvas))
         _curve_body(obj, canvas, parts)
     else:
         raise TypeError("render_svg expects a MarkedSubdivision or TropicalCurve")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return canvas, parts
+
+
+def render_svg(obj, padding=Fraction(1, 5)) -> str:
+    """Standalone SVG document for a MarkedSubdivision or a TropicalCurve.
+
+    The output is byte-identical for identical input.  padding widens the
+    viewport relative to the data bounding box (default 20%); rays are
+    truncated at that viewport.
+    """
+    canvas, parts = _layout(obj, padding)
+    return "\n".join([_header(canvas.width, canvas.height), *parts, "</svg>"]) + "\n"
 
 
 def render_pair(ms: MarkedSubdivision, curve: TropicalCurve, padding=Fraction(1, 5)) -> str:
     """Subdivision and dual curve side by side in one document."""
-    left = render_svg(ms, padding)
-    right = render_svg(curve, padding)
-
-    def body(doc):
-        inner = doc.split(">", 1)[1]
-        return inner.rsplit("</svg>", 1)[0]
-
-    def dims(doc):
-        head = doc.split(">", 1)[0]
-        w = float(head.split("width=\"")[1].split("\"")[0])
-        h = float(head.split("height=\"")[1].split("\"")[0])
-        return w, h
-
-    lw, lh = dims(left)
-    rw, rh = dims(right)
-    gap = 40.0
-    width, height = lw + rw + gap, max(lh, rh)
-    return (
-        "<svg xmlns=\"http://www.w3.org/2000/svg\" version=\"1.1\" "
-        f"width=\"{_fmt(width)}\" height=\"{_fmt(height)}\" "
-        f"viewBox=\"0 0 {_fmt(width)} {_fmt(height)}\">\n"
-        f"<g>{body(left)}</g>\n"
-        f"<g transform=\"translate({_fmt(lw + gap)},0)\">{body(right)}</g>\n"
-        "</svg>\n"
-    )
+    left, left_parts = _layout(ms, padding)
+    right, right_parts = _layout(curve, padding)
+    shift = left.width + 40
+    return "\n".join(
+        [
+            _header(shift + right.width, max(left.height, right.height)),
+            "<g>",
+            *left_parts,
+            "</g>",
+            f"<g transform=\"translate({_fmt(shift)},0)\">",
+            *right_parts,
+            "</g>",
+            "</svg>",
+        ]
+    ) + "\n"
