@@ -38,7 +38,7 @@ def _read_job(path):
         raise ParseError(f"cannot read input: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int past the interpreter's digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")
@@ -130,7 +130,7 @@ def _cmd_flags(job, args):
 def _cmd_classify(job, args):
     config = jsonio.config_from_json(job)
     u, f = _job_heights(config, job)
-    if args.non_torus or job.get("non_torus"):
+    if args.non_torus:
         rep = classify_non_torus(config, u)
     else:
         rep = classify_singularity(config, u)
@@ -158,6 +158,8 @@ def _cmd_lift(job, args):
         flag = jsonio.flag_from_json(job["flag"])
         if any(not 0 <= i < config.size for flat in flag.flats for i in flat):
             raise ParseError(f"flag indices must lie in 0..{config.size - 1}")
+        if flag.flats[-1:] != (tuple(range(config.size)),):
+            raise ParseError(f"the flag's last flat must be the ground set 0..{config.size - 1}")
     else:
         B = gale_dual(coefficient_matrix(config), _pivots(args))
         flags = enumerate_flags(B, args.limit)
@@ -167,6 +169,8 @@ def _cmd_lift(job, args):
         flag = flags[idx]
     exponents = None
     if "exponents" in job:
+        if not isinstance(job["exponents"], list):
+            raise ParseError("'exponents' must be a list of rationals")
         exponents = [jsonio.fraction_from_json(x) for x in job["exponents"]]
     sample = sample_singular_lift(config, flag, exponents=exponents, seed=args.seed)
     return {
@@ -230,9 +234,11 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--in", dest="infile", default="-", help="job JSON file, '-' for stdin")
         p.add_argument("--out", dest="outfile", default=None, help="write result JSON here")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--limit", type=int, default=None, help="flag enumeration guard")
-        p.add_argument("--pivots", default=None, help="three pivot indices i,j,k")
+        if name in ("flags", "lift"):
+            p.add_argument("--limit", type=int, default=None, help="flag enumeration guard")
+            p.add_argument("--pivots", default=None, help="three pivot indices i,j,k")
+        if name == "lift":
+            p.add_argument("--seed", type=int, default=0)
         if name == "classify":
             p.add_argument("--non-torus", action="store_true", dest="non_torus")
         if name == "plot":

@@ -5,13 +5,14 @@ floats are rejected on input so no precision is ever lost.  Indices into a
 configuration are 0-based and refer to the canonical point order.
 """
 
+import re
 from dataclasses import fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .bergman import FlagOfFlats
 from .curves import TropicalCurve
-from .errors import ParseError
+from .errors import ParseError, TropsingError
 from .lattice import Circuit, PointConfiguration
 from .singular import SingularityReport
 from .subdivisions import MarkedSubdivision
@@ -19,18 +20,32 @@ from .subdivisions import MarkedSubdivision
 SCHEMA = "tropsing/1"
 
 
+# digits allowed in each of a rational's numerator and denominator on input
+MAX_DIGITS = 1000
+_RATIONAL = re.compile(r"-?\d{1,%d}(/\d{1,%d})?" % (MAX_DIGITS, MAX_DIGITS), re.ASCII)
+
+
 def fraction_to_json(x) -> str:
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:  # past the interpreter's int-to-str digit limit
+        raise TropsingError(f"rational too long to print: {exc}") from exc
 
 
 def fraction_from_json(value) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ParseError(f"rationals must be ints or 'p/q' strings, got {value!r}")
-    try:
+    """A JSON int or a string "n" or "p/q", each part at most MAX_DIGITS digits."""
+    if is_int(value) and abs(value) < 10**MAX_DIGITS:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ParseError(f"bad rational literal {value!r}") from exc
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError as exc:
+            raise ParseError(f"zero denominator in {value!r}") from exc
+    shown = repr(value[:40]) if isinstance(value, str) else f"a {type(value).__name__}"
+    raise ParseError(
+        f"rationals are JSON ints or 'p/q' strings of at most {MAX_DIGITS} digits each, got {shown}"
+    )
 
 
 def is_int(x) -> bool:
@@ -135,6 +150,9 @@ def flag_from_json(obj) -> FlagOfFlats:
         isinstance(f, list) and all(is_int(i) for i in f) for f in obj
     ):
         raise ParseError("a flag must be a list of index lists")
+    for k in range(1, len(obj)):
+        if not set(obj[k - 1]) < set(obj[k]):
+            raise ParseError(f"flat {k} {obj[k]} does not strictly contain the flat before it")
     return FlagOfFlats(tuple([tuple(sorted(f)) for f in obj]))
 
 

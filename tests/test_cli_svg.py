@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropsing import PointConfiguration, dual_curve, regular_subdivision, render_svg
+from tropsing import (
+    ParseError,
+    PointConfiguration,
+    TropsingError,
+    dual_curve,
+    regular_subdivision,
+    render_svg,
+)
 from tropsing.cli import _cmd_flags, build_parser, run_cli
 from tropsing.jsonio import (
     config_from_json,
@@ -57,6 +64,22 @@ class TestJsonRoundtrip:
         assert fraction_from_json(5) == 5
         with pytest.raises(Exception):
             fraction_from_json(0.5)
+
+    def test_rational_grammar(self):
+        from fractions import Fraction
+
+        for value, x in ((5, 5), ("-3/4", Fraction(-3, 4)), ("007", 7), ("6/4", Fraction(3, 2))):
+            assert fraction_from_json(value) == x
+        assert fraction_from_json("9" * 1000) == int("9" * 1000)
+        for bad in ("1.5", "1e3", " 1", "+1", "1/-2", "1/0", "", "9" * 1001, 10**1000, True, None):
+            with pytest.raises(ParseError):
+                fraction_from_json(bad)
+
+    def test_rational_too_long_to_print(self):
+        from fractions import Fraction
+
+        with pytest.raises(TropsingError):
+            fraction_to_json(Fraction(10**5000))
 
     def test_config(self, intro_config):
         assert config_from_json(config_to_json(intro_config)) == intro_config
@@ -224,6 +247,9 @@ class TestCli:
             {"flag": [[0.5], [0, 1], [0, 1, 2], [0, 1, 2, 3, 4, 5]]},
             {"flag": [[True], [0, 1], [0, 1, 2], [0, 1, 2, 3, 4, 5]]},
             {"flag_index": True},
+            {"exponents": 5},
+            {"flag": []},
+            {"flag": [[3], [3, 4, 5], [0, 1, 2, 4, 5]]},
         ],
     )
     def test_lift_bad_flag_index_exits_2(self, tmp_path, capsys, flag):
@@ -231,6 +257,39 @@ class TestCli:
         code, out = run_job(tmp_path, capsys, "lift", job)
         assert code == 2
         assert out["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "height",
+        ["1" * 5000, '"1e5000"', '"1e10000000"'],
+        ids=["int_of_5000_digits", "1e5000", "1e10000000"],
+    )
+    def test_oversized_or_exponent_rational_exits_2(self, tmp_path, capsys, height):
+        path = tmp_path / "job.json"
+        path.write_text('{"points": [[0, 0], [1, 0], [0, 1]], "heights": [%s, 0, 0]}' % height)
+        code = run_cli(["subdivide", "--in", str(path)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert out["error"]["type"] == "ParseError"
+
+    def test_non_torus_job_key_ignored(self, tmp_path, capsys):
+        job = {
+            "points": [[0, 0], [1, 0], [2, 0], [3, 0], [0, 1], [1, 1], [2, 1], [3, 1], [0, 2]],
+            "heights": ["0", "0", "-2", "0", "-1", "-3", "-1", "-4", "-6"],
+        }
+        code, plain = run_job(tmp_path, capsys, "classify", job)
+        assert code == 0
+        code, keyed = run_job(tmp_path, capsys, "classify", dict(job, non_torus="false"))
+        assert code == 0
+        assert keyed == plain
+        assert plain["report"]["kind"] != "FatEnd"
+
+    @pytest.mark.parametrize(
+        "command,option",
+        [("classify", "--seed"), ("curve", "--limit"), ("subdivide", "--pivots")],
+    )
+    def test_option_of_another_command_exits_2(self, tmp_path, capsys, command, option):
+        code, _out = run_job(tmp_path, capsys, command, INTRO_JOB, option, "3")
+        assert code == 2
 
     def test_pivots_flag(self, tmp_path, capsys):
         job = {"points": INTRO_JOB["points"]}
