@@ -122,8 +122,10 @@ class PointConfiguration:
         if len(hull) < 3 or polygon_area2(hull) == 0:
             raise DegenerateConfigurationError("configuration is not 2-dimensional")
         if require_saturated:
-            full = lattice_points_in_polygon(hull)
-            if sorted(pts, key=canonical_key) != full:
+            # by Pick's theorem the hull holds (area2 + boundary) / 2 + 1 lattice
+            # points; the distinct points lie among them, so equal counts suffice
+            boundary = sum(lattice_length(a, b) for a, b in polygon_edges(hull))
+            if 2 * len(pts) != polygon_area2(hull) + boundary + 2:
                 raise LatticeSaturationError(
                     "points are not exactly the lattice points of their hull"
                 )

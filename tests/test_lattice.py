@@ -15,7 +15,14 @@ from tropsing import (
     circuits,
 )
 from oracles import same_span
-from tropsing.lattice import circuit_kind, convex_hull, lattice_points_in_polygon, orient
+from test_acceptance import Budget
+from tropsing.lattice import (
+    canonical_key,
+    circuit_kind,
+    convex_hull,
+    lattice_points_in_polygon,
+    orient,
+)
 
 
 def brute_force_relations(points, support):
@@ -85,6 +92,37 @@ class TestPointConfiguration:
     def test_from_polygon_saturates(self):
         cfg = PointConfiguration.from_polygon([(0, 0), (2, 0), (0, 2)])
         assert (1, 1) in cfg.points and cfg.size == 6
+
+    def test_saturation_matches_box_scan(self):
+        rnd = random.Random(11)
+        box = [(i, j) for i in range(4) for j in range(4)]
+        outcomes = set()
+        for _ in range(400):
+            pts = rnd.sample(box, rnd.randint(3, 10))
+            hull = convex_hull(pts)
+            if len(hull) < 3:
+                continue
+            saturated = sorted(pts, key=canonical_key) == lattice_points_in_polygon(hull)
+            try:
+                PointConfiguration(pts)
+                accepted = True
+            except LatticeSaturationError:
+                accepted = False
+            assert accepted == saturated, pts
+            outcomes.add(accepted)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "points,saturated",
+        [([(0, 0), (1, 0), (10**6, 1)], True), ([(0, 0), (10**6, 0), (0, 1)], False)],
+    )
+    def test_saturation_check_is_not_linear_in_the_coordinates(self, points, saturated):
+        with Budget("saturation check of a long thin triangle", 1.0):
+            if saturated:
+                assert PointConfiguration(points).size == 3
+            else:
+                with pytest.raises(LatticeSaturationError):
+                    PointConfiguration(points)
 
     def test_lineality_vectors(self, five_point_config):
         assert five_point_config.x_vector() == (0, 1, 0, 1, 1)
