@@ -44,7 +44,8 @@ def fraction_from_json(value) -> Fraction:
             raise ParseError(f"zero denominator in {value!r}") from exc
     shown = repr(value[:40]) if isinstance(value, str) else f"a {type(value).__name__}"
     raise ParseError(
-        f"rationals are JSON ints or 'p/q' strings of at most {MAX_DIGITS} digits each, got {shown}"
+        f"rationals are JSON ints or 'p/q' strings of at most {MAX_DIGITS} digits each, "
+        f"got {shown}"
     )
 
 

@@ -63,26 +63,14 @@ class SingularityReport:
 
 def _segment_circuit(config, segment):
     """The collinear circuit of the marked points on a weight-2 dual segment."""
-    return Circuit(tuple([i for i, p in enumerate(config.points) if point_on_segment(p, *segment)]), "C")
+    on_segment = [i for i, p in enumerate(config.points) if point_on_segment(p, *segment)]
+    return Circuit(tuple(on_segment), "C")
 
 
-def _edge_distances(curve, edge):
-    """Lattice distances from the origin to the two edge endpoints.
-
-    The primitive direction of the edge measures one lattice step; distances
-    come out as positive rationals when the origin is strictly inside.
-    """
-    a = curve.vertices[edge.ends[0]]
-    b = curve.vertices[edge.ends[1]]
-    d = curve.edge_direction(edge)
+def _lattice_distance(p, d):
+    """Steps of the primitive direction d between the origin and p on its line."""
     axis = 0 if d[0] != 0 else 1
-    ta = -a[axis] / d[axis]
-    tb = -b[axis] / d[axis]
-    return abs(ta), abs(tb)
-
-
-def _interior_count(cell, config):
-    return sum(1 for i in cell.marked if not point_on_boundary(config.points[i], cell.polygon))
+    return abs(p[axis] / Fraction(d[axis]))
 
 
 def _circuit_normalized(config, u, z):
@@ -138,7 +126,7 @@ def _classify_vertex(config, curve, ms, info, vi, clean):
     val = curve.valence(vi)
     mult = vertex_multiplicity(curve, vi)
     npts = len(cell.marked)
-    inner = _interior_count(cell, config)
+    inner = sum(1 for i in cell.marked if not point_on_boundary(config.points[i], poly))
     maximal = clean and info.codimension == 1
     circuit = None
 
@@ -188,10 +176,12 @@ def _classify_edge(config, u, curve, ms, info, edge, clean):
         )
     z = _segment_circuit(config, edge.dual_segment)
     n1, n2 = curve.valence(v1), curve.valence(v2)
+    d = curve.edge_direction(edge)
+    dists = [_lattice_distance(p, d) for p in endpoints]
     l1 = l2 = heights = None
 
     if {n1, n2} == {3}:
-        l1, l2 = _edge_distances(curve, edge)
+        l1, l2 = dists
         # a non-maximal cone can show this local picture with any distance
         # ratio (a hidden gray point lets a farther apex bind the cell), so
         # the maximality gates come before the metric verdicts
@@ -202,20 +192,21 @@ def _classify_edge(config, u, curve, ms, info, edge, clean):
         else:
             kind, note = TYPE_B1, ""
             u_wc, mu = _circuit_normalized(config, u, z)
-            lam = max(u_wc[i] for i in range(config.size) if _off_line(config, z, i))
+            a, b = z.points(config)[:2]
+            lam = max(u_wc[i] for i, p in enumerate(config.points) if orient(a, b, p) != 0)
             heights = {"lambda": lam, "mu": mu}
     elif {n1, n2} == {3, 4}:
         # l1 is the 4-valent end's distance, l2 the 3-valent end's
-        l1, l2 = _edge_distances(curve, edge)
-        c4, c3 = v1, v2
-        if n2 == 4:
-            l1, l2, c4, c3 = l2, l1, v2, v1
+        l1, l2 = dists if n1 == 4 else dists[::-1]
+        c4, c3 = (v1, v2) if n1 == 4 else (v2, v1)
         if not (clean and info.codimension == 2):
-            kind, note = NON_MAXIMAL, "4/3-valent weight-2 edge, but cone not of the expected shape"
+            kind = NON_MAXIMAL
+            note = "4/3-valent weight-2 edge, but cone not of the expected shape"
         elif l1 == l2:
             kind, note = NON_GENERIC, "equidistant 4-valent and 3-valent vertices"
         elif l1 > l2:
-            kind, note = NOT_SINGULAR, "4-valent vertex farther from the origin than the 3-valent one"
+            kind = NOT_SINGULAR
+            note = "4-valent vertex farther from the origin than the 3-valent one"
         else:
             kind, note = TYPE_B2_INTERIOR, ""
             u_wc, mu = _circuit_normalized(config, u, z)
@@ -239,12 +230,6 @@ def _classify_edge(config, u, curve, ms, info, edge, clean):
     )
 
 
-def _off_line(config, z: Circuit, i) -> bool:
-    a = config.points[z.indices[0]]
-    b = config.points[z.indices[1]]
-    return orient(a, b, config.points[i]) != 0
-
-
 def _classify_ray(config, u, curve, ms, info, ray, clean):
     if ray.weight == 1:
         return SingularityReport(NOT_SINGULAR, note="origin inside a weight-1 ray")
@@ -264,7 +249,7 @@ def _classify_ray(config, u, curve, ms, info, ray, clean):
     if val == 4 and clean and info.codimension == 2:
         kind, note = TYPE_B2_BOUNDARY, ""
         u_wc, mu = _circuit_normalized(config, u, z)
-        l1 = _ray_distance(vpos, ray.direction)
+        l1 = _lattice_distance(vpos, ray.direction)
         heights = {"lambda": u_wc[_off_circuit(ms.cells[ray.vertex], z)], "mu": mu}
     elif val == 4:
         kind, note = NON_MAXIMAL, "4-valent fat ray, but cone not of the expected shape"
@@ -284,11 +269,6 @@ def _classify_ray(config, u, curve, ms, info, ray, clean):
         heights=heights,
         note=note,
     )
-
-
-def _ray_distance(vpos, direction):
-    axis = 0 if direction[0] != 0 else 1
-    return abs(vpos[axis] / Fraction(direction[axis]))
 
 
 def _boundary_rows(config):
