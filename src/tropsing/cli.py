@@ -158,7 +158,7 @@ def _cmd_lift(job, args):
         flag = jsonio.flag_from_json(job["flag"])
         if any(not 0 <= i < config.size for flat in flag.flats for i in flat):
             raise ParseError(f"flag indices must lie in 0..{config.size - 1}")
-        if flag.flats[-1:] != (tuple(range(config.size)),):
+        if not flag.flats or flag.flats[-1] != tuple(range(config.size)):
             raise ParseError(f"the flag's last flat must be the ground set 0..{config.size - 1}")
     else:
         B = gale_dual(coefficient_matrix(config), _pivots(args))

@@ -35,8 +35,8 @@ def fraction_to_json(x) -> str:
 
 def fraction_from_json(value) -> Fraction:
     """A JSON int or a string "n" or "p/q", each part at most MAX_DIGITS digits."""
-    if is_int(value) and abs(value) < 10**MAX_DIGITS:
-        return Fraction(value)
+    if is_int(value):
+        value = str(value)
     if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
@@ -157,13 +157,17 @@ def flag_from_json(obj) -> FlagOfFlats:
     return FlagOfFlats(tuple([tuple(sorted(f)) for f in obj]))
 
 
+# read once: `fields()` builds its tuple from a generator on every call
+_REPORT_FIELDS = [field.name for field in fields(SingularityReport)]
+
+
 def report_to_json(rep: SingularityReport) -> dict:
     """Every witness the report sets; None heights and an empty note are dropped."""
     out = {}
-    for field in fields(rep):
-        value = _witness_to_json(getattr(rep, field.name))
+    for name in _REPORT_FIELDS:
+        value = _witness_to_json(getattr(rep, name))
         if value is not None and value != "":
-            out[field.name] = value
+            out[name] = value
     return out
 
 
