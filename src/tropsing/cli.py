@@ -246,10 +246,14 @@ def build_parser():
     return parser
 
 
+# built once: a parser is a web of reference cycles, so one per call would be
+# left for the cycle collector after every command
+_PARSER = build_parser()
+
+
 def run_cli(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
