@@ -25,7 +25,7 @@ from .errors import (
     TropsingError,
     ZeroTorusCoordinateError,
 )
-from .lattice import Circuit, circuit_kind, orient
+from .lattice import Circuit, orient
 
 DEFAULT_LIMIT = 12
 
@@ -248,9 +248,30 @@ def is_flat(B: GaleDual, subset) -> bool:
 
 @dataclass(frozen=True)
 class FlagOfFlats:
-    """Complete chain of flats F_1 < ... < F_{s-3} = ground set (sorted tuples)."""
+    """Complete chain of flats F_1 < ... < F_{s-3} = ground set.
+
+    Each flat is a sorted tuple of distinct indices strictly containing the
+    flat before it, or construction raises MalformedFlagError; so block k,
+    F_k minus F_{k-1}, has the size of that step.
+    """
 
     flats: tuple
+
+    def __post_init__(self):
+        for k, flat in enumerate(self.flats):
+            if list(flat) != sorted(set(flat)):
+                raise MalformedFlagError(f"flat {k} {list(flat)} is not sorted without repeats")
+            if not set(self.flats[k - 1] if k else ()) < set(flat):
+                raise MalformedFlagError(
+                    f"flat {k} {list(flat)} does not strictly contain the flat before it"
+                )
+
+    @classmethod
+    def _unchecked(cls, flats):
+        """The flag on a chain already known to keep the invariant, unchecked."""
+        flag = object.__new__(cls)
+        object.__setattr__(flag, "flats", flats)
+        return flag
 
     @property
     def blocks(self):
@@ -260,13 +281,6 @@ class FlagOfFlats:
             out.append(tuple([i for i in f if i not in prev]))
             prev = set(f)
         return tuple(out)
-
-    def block_of(self, i) -> int:
-        """1-based position of the block containing index i."""
-        for pos, block in enumerate(self.blocks, start=1):
-            if i in block:
-                return pos
-        raise KeyError(i)
 
 
 @dataclass(frozen=True)
@@ -306,7 +320,7 @@ def enumerate_flags(B: GaleDual, limit=None):
         chain, current = stack.pop()
         if len(chain) == top_rank:
             if current == full:
-                results.append(FlagOfFlats(chain))
+                results.append(FlagOfFlats._unchecked(chain))  # covers nest strictly
             continue
         if current not in covers:
             masks = {closure_mask(A, current | 1 << e) for e in range(s) if not current >> e & 1}
@@ -330,33 +344,36 @@ def classify_flag(flag: FlagOfFlats, config) -> FlagClass:
     Either the top block is a 4-element circuit and all other blocks are
     singletons, or the top block is a collinear triple, exactly one earlier
     block is a pair of points off that line, and every block between the two
-    sits on the line.  Anything else raises MalformedFlagError.
+    sits on the line.  Anything else raises MalformedFlagError.  The shape is
+    read off the strictly nested chain: the top block is the last flat minus
+    the one below, and a block is a singleton or a pair where the size grows
+    by 1 or 2.
     """
-    blocks = flag.blocks
-    top = blocks[-1]
-    pts = config.points
-    kind = circuit_kind(pts[i] for i in top)
-    if kind is None:
-        raise MalformedFlagError(f"top block {tuple(top)} is not a circuit")
+    flats = flag.flats
+    below = flats[-2] if len(flats) > 1 else ()
+    top = tuple(sorted(set(flats[-1]).difference(below)))
+    circuit = config.circuit_at(top)
+    if circuit is None:
+        raise MalformedFlagError(f"top block {top} is not a circuit")
+    # the blocks below the top are nonempty, so their indices outnumber them
+    # by 0 if all are singletons and by 1 if one is a pair, the rest singletons
+    excess = len(below) - (len(flats) - 1)
     if len(top) == 4:
-        if any(len(b) != 1 for b in blocks[:-1]):
+        if excess:
             raise MalformedFlagError("4-element top block requires singleton blocks")
-        return FlagClass("A", Circuit(tuple(top), kind))
-    pairs = [k for k, b in enumerate(blocks[:-1]) if len(b) == 2]
-    if len(pairs) != 1 or any(
-        len(b) != 1 for k, b in enumerate(blocks[:-1]) if k != pairs[0]
-    ):
+        return FlagClass("A", circuit)
+    if excess != 1:
         raise MalformedFlagError("expected exactly one pair block below the circuit")
-    j = pairs[0]
-    pair = blocks[j]
+    j = next(k for k, flat in enumerate(flats) if len(flat) == k + 2)
+    pair = tuple(sorted(set(flats[j]).difference(flats[j - 1] if j else ())))
+    pts = config.points
     a, b = pts[top[0]], pts[top[1]]
-    off_line = lambda i: orient(a, b, pts[i]) != 0
-    if not (off_line(pair[0]) and off_line(pair[1])):
+    if not (orient(a, b, pts[pair[0]]) and orient(a, b, pts[pair[1]])):
         raise MalformedFlagError("pair block must lie off the circuit line")
-    for later in blocks[j + 1 : -1]:
-        if off_line(later[0]):
+    for k in range(j + 1, len(flats) - 1):
+        if orient(a, b, pts[sum(flats[k]) - sum(flats[k - 1])]):  # the step's one new index
             raise MalformedFlagError("blocks above the pair must lie on the line")
-    return FlagClass("B", Circuit(tuple(top), kind), tuple(pair), True)
+    return FlagClass("B", circuit, pair, True)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from json.encoder import encode_basestring_ascii
 
 from .bergman import FlagOfFlats
 from .curves import TropicalCurve
-from .errors import ParseError, TropsingError
+from .errors import MalformedFlagError, ParseError, TropsingError
 from .lattice import Circuit, PointConfiguration
 from .singular import SingularityReport
 from .subdivisions import MarkedSubdivision
@@ -151,10 +151,10 @@ def flag_from_json(obj) -> FlagOfFlats:
         isinstance(f, list) and all(is_int(i) for i in f) for f in obj
     ):
         raise ParseError("a flag must be a list of index lists")
-    for k in range(1, len(obj)):
-        if not set(obj[k - 1]) < set(obj[k]):
-            raise ParseError(f"flat {k} {obj[k]} does not strictly contain the flat before it")
-    return FlagOfFlats(tuple([tuple(sorted(f)) for f in obj]))
+    try:
+        return FlagOfFlats(tuple([tuple(sorted(f)) for f in obj]))
+    except MalformedFlagError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 # read once: `fields()` builds its tuple from a generator on every call

@@ -47,8 +47,6 @@ def convex_hull(points):
             upper.pop()
         upper.append(p)
     cycle = lower[:-1] + upper[:-1]
-    if len(cycle) == 2 and cycle[0] == cycle[1]:
-        cycle = cycle[:1]
     start = min(range(len(cycle)), key=lambda i: canonical_key(cycle[i]))
     return cycle[start:] + cycle[:start]
 
@@ -82,14 +80,21 @@ def point_on_boundary(p, cycle) -> bool:
 
 
 def lattice_points_in_polygon(cycle):
-    xs = [p[0] for p in cycle]
-    ys = [p[1] for p in cycle]
+    """Lattice points of a convex vertex cycle, boundary included, canonically ordered.
+
+    A row meets the polygon between its least and greatest boundary point,
+    each a vertex or an edge crossing x = num / den, so no box is scanned.
+    """
     found = []
-    for j in range(min(ys), max(ys) + 1):
-        for i in range(min(xs), max(xs) + 1):
-            if point_in_polygon((i, j), cycle):
-                found.append((i, j))
-    return sorted(found, key=canonical_key)
+    ys = [p[1] for p in cycle]
+    for y in range(min(ys), max(ys) + 1):
+        ends = [(x, 1) for x, y1 in cycle if y1 == y]
+        for (x1, y1), (x2, y2) in polygon_edges(cycle):
+            if min(y1, y2) < y < max(y1, y2):
+                ends.append((x1 * (y2 - y1) + (y - y1) * (x2 - x1), y2 - y1))
+        lo, hi = min([-(-num // den) for num, den in ends]), max([num // den for num, den in ends])
+        found.extend([(x, y) for x in range(lo, hi + 1)])
+    return found
 
 
 def lattice_length(a, b) -> int:
@@ -133,6 +138,7 @@ class PointConfiguration:
         self.polygon = tuple(hull)
         self.saturated = bool(require_saturated)
         self._index = {p: i for i, p in enumerate(self.points)}
+        self._circuits = {}  # index tuple -> Circuit or None, filled by circuit_at
 
     @classmethod
     def from_polygon(cls, vertices):
@@ -151,6 +157,13 @@ class PointConfiguration:
 
     def index(self, p) -> int:
         return self._index[tuple(p)]
+
+    def circuit_at(self, indices):
+        """The circuit on a sorted tuple of distinct indices, or None; kept per tuple."""
+        if indices not in self._circuits:
+            kind = circuit_kind([self.points[i] for i in indices])
+            self._circuits[indices] = None if kind is None else Circuit(indices, kind)
+        return self._circuits[indices]
 
     def x_vector(self):
         return tuple([Fraction(p[0]) for p in self.points])
@@ -213,10 +226,9 @@ def circuit_of(config, indices) -> Circuit:
     """Build (and validate) the circuit on the given configuration indices."""
     idx = tuple(sorted(indices))
     if len(set(idx)) == len(idx) and all(i in range(config.size) for i in idx):
-        idx = tuple([int(i) for i in idx])
-        kind = circuit_kind(config.points[i] for i in idx)
-        if kind is not None:
-            return Circuit(idx, kind)
+        circuit = config.circuit_at(tuple([int(i) for i in idx]))
+        if circuit is not None:
+            return circuit
     raise ConfigurationError(f"indices {idx} do not form a circuit")
 
 

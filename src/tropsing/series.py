@@ -41,10 +41,6 @@ class PuiseuxScalar:
     def constant(cls, c):
         return cls.from_terms([(0, c)])
 
-    @classmethod
-    def monomial(cls, c, q):
-        return cls.from_terms([(q, c)])
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -170,11 +166,6 @@ class PuiseuxPolynomial:
     def coefficient(self, point) -> PuiseuxScalar:
         return self.coefficients[self.config.index(point)]
 
-    def support(self):
-        return tuple(
-            [p for p, c in zip(self.config.points, self.coefficients) if not c.is_zero()]
-        )
-
     def evaluate(self, x, y) -> PuiseuxScalar:
         """Exact value at rational (x, y) in the torus."""
         x, y = Fraction(x), Fraction(y)
@@ -232,12 +223,10 @@ class LiftSample:
 
 def _adapted_pivots(config, flag):
     """Pivot triple that makes every block height reachable by row exponents."""
-    fc = classify_flag(flag, config)
+    fc = classify_flag(flag, config)  # its circuit and pair are sorted
     if fc.case == "A":
-        return tuple(sorted(fc.circuit.indices)[:3])
-    a, b = sorted(fc.circuit.indices)[:2]
-    c = min(fc.pair)
-    return tuple(sorted((a, b, c)))
+        return fc.circuit.indices[:3]
+    return tuple(sorted(fc.circuit.indices[:2] + fc.pair[:1]))
 
 
 def _in_closure(flag, u) -> bool:

@@ -35,6 +35,8 @@ from tropsing import bergman, linalg
 from tropsing.linalg import rank
 from tropsing.singular import coefficient_matrix_non_torus
 
+from oracles import classify_flag_by_blocks
+
 
 GOLDEN_A_8PT = [
     [1, 1, 1, 1, 1, 1, 1, 1],
@@ -350,6 +352,130 @@ class TestClassifyFlag:
         bogus = FlagOfFlats(((0,), (0, 1), (0, 1, 2, 3, 4)))
         with pytest.raises(MalformedFlagError):
             classify_flag(bogus, five_point_config)
+
+
+def classify_outcome(classify, flats, config):
+    """A flag's class, or the type and message of the error classifying it."""
+    try:
+        return classify(flats, config)
+    except MalformedFlagError as exc:
+        return type(exc), str(exc)
+
+
+def chain_of_blocks(blocks):
+    chain, acc = [], []
+    for block in blocks:
+        acc.extend(block)
+        chain.append(tuple(sorted(acc)))
+    return tuple(chain)
+
+
+CRITERION_9_VERTICES = [(0, 0), (3, 0), (3, 1), (0, 2)]
+B2_PENTAGON_VERTICES = [(0, 1), (1, 0), (2, 0), (2, 2), (1, 2)]
+GRID_4X2_VERTICES = [(0, 0), (3, 0), (3, 1), (0, 1)]
+
+
+class TestClassifyFlagByShape:
+    """`classify_flag` reads the shape off the chain; the oracle takes explicit blocks."""
+
+    def agree(self, flats, config):
+        mine = classify_outcome(lambda f, c: classify_flag(FlagOfFlats(f), c), flats, config)
+        assert mine == classify_outcome(classify_flag_by_blocks, flats, config), flats
+        return mine
+
+    def test_every_enumerated_flag(
+        self, five_point_config, intro_config, eight_point_config, grid_config
+    ):
+        counts = []
+        for cfg in (
+            five_point_config,
+            intro_config,
+            eight_point_config,
+            grid_config,
+            PointConfiguration.from_polygon(CRITERION_9_VERTICES),
+            PointConfiguration.from_polygon(B2_PENTAGON_VERTICES),
+        ):
+            flags = enumerate_flags(gale_dual(coefficient_matrix(cfg)))
+            for flag in flags:
+                assert classify_flag(flag, cfg) == classify_flag_by_blocks(flag.flats, cfg)
+            counts.append(len(flags))
+        assert counts == [4, 24, 1380, 12240, 11760, 174]
+
+    def test_boundary_block_flags_with_their_errors(self):
+        # the boundary point's matroid has flags of neither shape
+        cfg = PointConfiguration.from_polygon(CRITERION_9_VERTICES)
+        seen = set()
+        for flag in enumerate_flags(gale_dual(coefficient_matrix_non_torus(cfg))):
+            out = self.agree(flag.flats, cfg)
+            seen.add(out.case if isinstance(out, bergman.FlagClass) else out[1].split()[0])
+        assert seen == {"B", "top", "blocks"}
+
+    def test_each_error_message(self, intro_config):
+        grid = PointConfiguration.from_polygon(GRID_4X2_VERTICES)  # rows 0..3 and 4..7
+        cases = [
+            (intro_config, [(0,), (1,), (2,), (3, 4, 5)], "top block (3, 4, 5) is not"),
+            (intro_config, [(0, 1), (2, 3, 4, 5)], "4-element top block requires"),
+            (intro_config, [(3,), (4,), (5,), (0, 1, 2)], "expected exactly one pair"),
+            (intro_config, [(3, 4, 5), (0, 1, 2)], "expected exactly one pair"),
+            (grid, [(5,), (6,), (7,), (3, 4), (0, 1, 2)], "pair block must lie off"),
+            (grid, [(3,), (4, 5), (6,), (7,), (0, 1, 2)], "blocks above the pair"),
+            (grid, [(0, 1, 2, 3, 4, 5, 6, 7)], "top block (0, 1, 2, 3, 4, 5, 6, 7) is not"),
+        ]
+        for cfg, blocks, message in cases:
+            out = self.agree(chain_of_blocks(blocks), cfg)
+            assert out[0] is MalformedFlagError and out[1].startswith(message)
+
+    def test_hand_built_shapes(self, square_config, five_point_config):
+        grid = PointConfiguration.from_polygon(GRID_4X2_VERTICES)
+        # case B with an on-line block between the pair and the top
+        out = self.agree(chain_of_blocks([(6,), (7,), (4, 5), (3,), (0, 1, 2)]), grid)
+        assert (out.case, out.circuit.indices, out.pair) == ("B", (0, 1, 2), (4, 5))
+        # the pair as the first block, below the line x = 1
+        out = self.agree(chain_of_blocks([(0, 2), (1, 3, 4)]), five_point_config)
+        assert (out.case, out.pair) == ("B", (0, 2))
+        # a single flat holding a 4-point circuit
+        assert self.agree(((0, 1, 2, 3),), square_config).case == "A"
+
+    def test_random_nested_chains(self):
+        rnd = random.Random(21)
+        for cfg in (
+            PointConfiguration.from_polygon(GRID_4X2_VERTICES),
+            PointConfiguration.from_polygon([(0, 0), (2, 0), (2, 2), (0, 2)]),
+        ):
+            for _ in range(1500):
+                order = list(range(cfg.size))
+                rnd.shuffle(order)
+                top = rnd.choice((3, 4))
+                blocks, rest = [], order[top:]
+                while rest:
+                    size = rnd.choice((1, 1, 1, 1, 2, 3))
+                    blocks.append(rest[:size])
+                    rest = rest[size:]
+                self.agree(chain_of_blocks(blocks + [order[:top]]), cfg)
+
+    @pytest.mark.parametrize(
+        "flats, message",
+        [
+            (((0, 1), (1, 2), (0, 1, 2, 3, 4)), "flat 1 [1, 2] does not strictly contain"),
+            (((0,), (1, 2), (0, 1, 2, 3, 4)), "flat 1 [1, 2] does not strictly contain"),
+            (((0, 1), (0, 1), (0, 1, 2, 3, 4)), "flat 1 [0, 1] does not strictly contain"),
+            (((), (0, 1, 2, 3, 4)), "flat 0 [] does not strictly contain"),
+            (((1, 0), (0, 1, 2, 3, 4)), "flat 0 [1, 0] is not sorted without repeats"),
+            (((0, 0), (0, 1, 2, 3, 4)), "flat 0 [0, 0] is not sorted without repeats"),
+        ],
+    )
+    def test_chains_that_are_not_strictly_nested_are_refused(
+        self, five_point_config, flats, message
+    ):
+        with pytest.raises(MalformedFlagError) as info:
+            classify_flag(FlagOfFlats(flats), five_point_config)
+        assert str(info.value).startswith(message)
+
+    def test_circuit_table_fills_per_lookup(self, grid_config):
+        assert grid_config.circuit_at((0, 1, 2)) == bergman.Circuit((0, 1, 2), "C")
+        assert grid_config.circuit_at((0, 1, 3)) is None
+        assert grid_config.circuit_at((0, 2, 6, 8)).kind == "B"
+        assert len(grid_config._circuits) == 3
 
 
 class TestFlagFromWeight:

@@ -7,13 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropsing import (
+    MalformedFlagError,
     ParseError,
     PointConfiguration,
     TropsingError,
+    classify_flag,
     dual_curve,
     regular_subdivision,
     render_svg,
 )
+from tropsing import cli
+from tropsing.bergman import FlagOfFlats
 from tropsing.cli import _cmd_flags, build_parser, run_cli
 from tropsing.jsonio import (
     config_from_json,
@@ -187,6 +191,21 @@ class TestCli:
         assert code == 0
         assert out["flag_count"] == 1
         assert out["flags"][0]["case"] == "A"
+
+    def test_flags_lists_a_malformed_flag_with_its_error(self, tmp_path, capsys, monkeypatch):
+        # enumeration never yields such a flag; the entry is there in case one
+        # ever contradicts the two-shape theorem
+        points = [[0, 0], [1, 0], [0, 1], [1, 1], [1, 2]]
+        bogus = FlagOfFlats(((0,), (0, 1), (0, 1, 2, 3, 4)))
+        monkeypatch.setattr(cli, "enumerate_flags", lambda B, limit: (bogus,))
+        code, out = run_job(tmp_path, capsys, "flags", {"points": points})
+        with pytest.raises(MalformedFlagError) as info:
+            classify_flag(bogus, PointConfiguration(points))
+        assert code == 0 and out["flag_count"] == 1
+        assert out["flags"] == [
+            {"flats": [[0], [0, 1], [0, 1, 2, 3, 4]], "case": "malformed", "error": str(info.value)}
+        ]
+        assert str(info.value) == "top block (2, 3, 4) is not a circuit"
 
     def test_discriminant_command(self, tmp_path, capsys):
         code, out = run_job(tmp_path, capsys, "discriminant", INTRO_JOB)

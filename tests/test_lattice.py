@@ -14,7 +14,7 @@ from tropsing import (
     circuit_of,
     circuits,
 )
-from oracles import same_span
+from oracles import lattice_points_by_box, same_span
 from test_acceptance import Budget
 from tropsing.lattice import (
     canonical_key,
@@ -123,6 +123,19 @@ class TestPointConfiguration:
             else:
                 with pytest.raises(LatticeSaturationError):
                     PointConfiguration(points)
+
+    def test_row_ranges_match_box_scan(self):
+        # hulls of random point sets, degenerate ones (a point, a segment) included
+        rnd = random.Random(12)
+        for _ in range(600):
+            pts = [(rnd.randint(-7, 7), rnd.randint(-7, 7)) for _ in range(rnd.randint(1, 7))]
+            hull = convex_hull(pts)
+            assert lattice_points_in_polygon(hull) == lattice_points_by_box(hull), hull
+
+    def test_from_polygon_is_not_linear_in_the_coordinates(self):
+        with Budget("lattice points of a long thin triangle", 0.2):
+            cfg = PointConfiguration.from_polygon([(0, 0), (1, 0), (10**6, 1)])
+        assert cfg.points == ((0, 0), (1, 0), (10**6, 1))
 
     def test_lineality_vectors(self, five_point_config):
         assert five_point_config.x_vector() == (0, 1, 0, 1, 1)

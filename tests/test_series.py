@@ -120,7 +120,8 @@ class TestSampledLifts:
         nonpivots = [i for i in range(intro_config.size) if i not in
                      gale_dual(coefficient_matrix(intro_config),
                                _pivots_of(flag, intro_config)).pivots]
-        exps = [-Fraction(2) * flag.block_of(i) for i in nonpivots]
+        block_of = {i: pos for pos, block in enumerate(flag.blocks, start=1) for i in block}
+        exps = [-Fraction(2) * block_of[i] for i in nonpivots]
         s = sample_singular_lift(intro_config, flag, exponents=exps, seed=1)
         assert s.in_weight_class_closure
         assert verify_singular_at_one_one(s.polynomial)
@@ -132,6 +133,18 @@ class TestSampledLifts:
         # must still return a kernel element, flagged if it left the closure
         s = sample_singular_lift(intro_config, flag, exponents=[0, 0, 0], seed=2)
         assert verify_singular_at_one_one(s.polynomial)
+
+    def test_weight_class_closure_test(self, intro_config):
+        from tropsing.bergman import weight_class_sample
+        from tropsing.series import _in_closure
+
+        flag = enumerate_flags(gale_dual(coefficient_matrix(intro_config)))[0]
+        u = list(weight_class_sample(flag))
+        assert _in_closure(flag, u)
+        assert _in_closure(flag, [0] * intro_config.size)  # equal heights close the class
+        first, top = flag.blocks[0], flag.blocks[-1]
+        assert not _in_closure(flag, [100 if i in first else h for i, h in enumerate(u)])
+        assert not _in_closure(flag, [h + (i == top[0]) for i, h in enumerate(u)])
 
 
 def _pivots_of(flag, config):
