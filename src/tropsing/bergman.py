@@ -301,11 +301,11 @@ class WeightClass:
 def enumerate_flags(B: GaleDual, limit=None):
     """All complete flags of flats of the column matroid of B.
 
-    Depth-first extension by rank over bitmasks of columns, with the covers
-    of each flat computed only once (many chains meet in the same flat).
-    An explicit stack rather than a recursive closure, so nothing outlives
-    the call waiting for the cycle collector.  Output canonically sorted.
-    Guarded by the enumeration limit (default 12).
+    Depth-first extension by rank over bitmasks of columns.  Each flat's
+    covers are found once, one closure each, as they partition the columns
+    outside it.  An explicit stack rather than a recursive closure, so
+    nothing outlives the call waiting for the cycle collector.  Output
+    canonically sorted.  Guarded by the enumeration limit (default 12).
     """
     s = B.size
     if s > (DEFAULT_LIMIT if limit is None else int(limit)):
@@ -323,8 +323,13 @@ def enumerate_flags(B: GaleDual, limit=None):
                 results.append(FlagOfFlats._unchecked(chain))  # covers nest strictly
             continue
         if current not in covers:
-            masks = {closure_mask(A, current | 1 << e) for e in range(s) if not current >> e & 1}
-            covers[current] = [(m, bit_indices(m)) for m in masks]
+            covers[current] = found = []
+            seen = current
+            for e in range(s):
+                if not seen >> e & 1:
+                    mask = closure_mask(A, current | 1 << e)
+                    seen |= mask
+                    found.append((mask, bit_indices(mask)))
         for mask, flat in covers[current]:
             stack.append((chain + (flat,), mask))
     return tuple(sorted(results, key=lambda f: f.flats))

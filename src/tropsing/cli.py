@@ -114,7 +114,7 @@ def _cmd_flags(job, args):
             entry["case"] = fc.case
             entry["circuit"] = jsonio.circuit_to_json(fc.circuit)
             if fc.pair is not None:
-                entry["pair"] = list(fc.pair)
+                entry["pair"] = fc.pair
         except MalformedFlagError as exc:  # would falsify the chain dichotomy
             entry["case"] = "malformed"
             entry["error"] = str(exc)

@@ -20,7 +20,6 @@ from .lattice import (
     primitive,
 )
 from .subdivisions import (
-    MarkedSubdivision,
     SubdivisionType,
     _upper_faces,
     segment_owners,
@@ -134,9 +133,7 @@ def _type_cells(config, t):
         return t.shape.cells
     if isinstance(t, SubdivisionType):
         return t.cells
-    if isinstance(t, MarkedSubdivision):
-        return t.type().cells
-    raise TypeError("expected a CurveType, SubdivisionType or MarkedSubdivision")
+    raise TypeError("expected a CurveType or SubdivisionType")
 
 
 def type_dimension(config, t) -> int:

@@ -139,11 +139,11 @@ def curve_to_json(curve: TropicalCurve) -> dict:
 
 
 def circuit_to_json(z: Circuit) -> dict:
-    return {"indices": list(z.indices), "kind": z.kind}
+    return {"indices": z.indices, "kind": z.kind}
 
 
 def flag_to_json(flag: FlagOfFlats) -> dict:
-    return {"flats": [list(f) for f in flag.flats]}
+    return {"flats": list(flag.flats)}
 
 
 def flag_from_json(obj) -> FlagOfFlats:
@@ -187,9 +187,10 @@ def dumps(payload) -> str:
     """`json.dumps(payload, indent=2, sort_keys=True)`, byte for byte.
 
     Accepts str, int, bool, None, lists, tuples and dicts with str keys;
-    anything else, floats included, raises TypeError.  A list of plain ints
-    is written with one join, and each distinct one at each depth is encoded
-    once per call: the same flats recur across thousands of flags.
+    anything else, floats included, raises TypeError.  A list or tuple of
+    plain ints is joined once per object and depth, keyed by its id, which the
+    payload keeps unique for the call: `flags` output shares each flat's
+    tuple across thousands of flags.
     """
     chunks = []
     _encode(payload, "\n", chunks.append, {})
@@ -204,11 +205,12 @@ def _encode(obj, pad, emit, known):
             emit("[]")
             return
         inner = pad + "  "
-        if set(map(type, obj)) == {int}:
-            key = (tuple(obj), pad)
-            if key not in known:
-                known[key] = "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + pad + "]"
-            emit(known[key])
+        key = (id(obj), pad)
+        text = known.get(key)
+        if text is None and set(map(type, obj)) == {int}:
+            known[key] = text = "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + pad + "]"
+        if text is not None:
+            emit(text)
             return
         sep = "["
         for item in obj:
