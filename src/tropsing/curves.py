@@ -20,6 +20,7 @@ from .lattice import (
     primitive,
 )
 from .subdivisions import (
+    MarkedSubdivision,
     SubdivisionType,
     _upper_faces,
     segment_owners,
@@ -50,6 +51,10 @@ class TropicalCurve:
         self.edges = tuple(edges)
         self.rays = tuple(rays)
 
+    @property
+    def config(self):
+        return self.subdivision.config
+
     def valence(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e.ends) + sum(
             1 for r in self.rays if r.vertex == v
@@ -62,6 +67,21 @@ class TropicalCurve:
         dx, dy = b[0] - a[0], b[1] - a[1]
         num = (dx.numerator * dy.denominator, dy.numerator * dx.denominator)
         return primitive(num)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, TropicalCurve)
+            and self.subdivision == other.subdivision
+            and self.vertices == other.vertices
+            and self.edges == other.edges
+            and self.rays == other.rays
+        )
+
+    def __repr__(self):
+        return (
+            f"TropicalCurve({len(self.vertices)} vertices, "
+            f"{len(self.edges)} edges, {len(self.rays)} rays)"
+        )
 
 
 def _outward_normal(seg, polygon):
@@ -133,7 +153,9 @@ def _type_cells(config, t):
         return t.shape.cells
     if isinstance(t, SubdivisionType):
         return t.cells
-    raise TypeError("expected a CurveType or SubdivisionType")
+    if isinstance(t, MarkedSubdivision):
+        return t.type().cells
+    raise TypeError("expected a CurveType, SubdivisionType or MarkedSubdivision")
 
 
 def type_dimension(config, t) -> int:

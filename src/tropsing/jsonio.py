@@ -138,6 +138,8 @@ def curve_to_json(curve: TropicalCurve) -> dict:
     }
 
 
+# these hand `dumps` the objects' own tuples, which it writes as arrays and
+# encodes once per object; `flag_from_json` reads a flat as a list or a tuple
 def circuit_to_json(z: Circuit) -> dict:
     return {"indices": z.indices, "kind": z.kind}
 
@@ -148,7 +150,7 @@ def flag_to_json(flag: FlagOfFlats) -> dict:
 
 def flag_from_json(obj) -> FlagOfFlats:
     if not isinstance(obj, list) or not all(
-        isinstance(f, list) and all(is_int(i) for i in f) for f in obj
+        isinstance(f, (list, tuple)) and all(is_int(i) for i in f) for f in obj
     ):
         raise ParseError("a flag must be a list of index lists")
     try:

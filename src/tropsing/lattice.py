@@ -232,8 +232,10 @@ def circuit_of(config, indices) -> Circuit:
     raise ConfigurationError(f"indices {idx} do not form a circuit")
 
 
-def configuration_matrix(config, support):
+def configuration_matrix(config, support=None):
     """Rows (1...1), (x_i), (y_i) restricted to the support columns."""
+    if support is None:
+        support = range(config.size)
     cols = [config.points[i] for i in support]
     return [
         [Fraction(1)] * len(cols),

@@ -97,6 +97,7 @@ class TestJsonRoundtrip:
 
         flags = enumerate_flags(gale_dual(coefficient_matrix(intro_config)))
         for flag in flags[:5]:
+            assert flag_from_json(flag_to_json(flag)["flats"]) == flag
             assert flag_from_json(json.loads(dumps(flag_to_json(flag)))["flats"]) == flag
 
 

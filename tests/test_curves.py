@@ -151,12 +151,6 @@ class TestTypeDimension:
         assert type_dimension(intro_config, t) == 4
         assert 4 == intro_config.size - 1 - info.codimension
 
-    def test_takes_a_type_not_a_subdivision(self, intro_config, intro_heights):
-        ms = regular_subdivision(intro_config, intro_heights)
-        assert type_dimension(intro_config, ms.type()) == 4
-        with pytest.raises(TypeError, match="expected a CurveType or SubdivisionType"):
-            type_dimension(intro_config, ms)
-
     def test_dimension_bound_with_equality_iff_no_white(self):
         configs, rnd = random_configs(77, 8)
         checked_eq = checked_lt = 0

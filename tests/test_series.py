@@ -120,8 +120,7 @@ class TestSampledLifts:
         nonpivots = [i for i in range(intro_config.size) if i not in
                      gale_dual(coefficient_matrix(intro_config),
                                _pivots_of(flag, intro_config)).pivots]
-        block_of = {i: pos for pos, block in enumerate(flag.blocks, start=1) for i in block}
-        exps = [-Fraction(2) * block_of[i] for i in nonpivots]
+        exps = [-Fraction(2) * flag.block_of(i) for i in nonpivots]
         s = sample_singular_lift(intro_config, flag, exponents=exps, seed=1)
         assert s.in_weight_class_closure
         assert verify_singular_at_one_one(s.polynomial)
